@@ -17,12 +17,17 @@ import numpy as np
 
 from .config import RunConfig, load_config
 from .continuation import continue_branch, StepOptions
-from .domain import INTERVAL, boundary_integral
+from .domain import INTERVAL
 from .errors import ConfigError, IndefbcError, PencilNotPositiveDefinite
 from .experiments import asymptotics_fit, delta_sweep, oracle_1d
 from .problem import LOGISTIC, W_FORM
 from .solve import minimize_nehari, multi_start_solutions, nonexistence_probe
-from .spectral import principal_eigenvalue, sigma1, weighted_steklov_spectrum
+from .spectral import (
+    nonnegative_integral,
+    principal_eigenvalue,
+    sigma1,
+    weighted_steklov_spectrum,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -93,7 +98,7 @@ def cmd_eig(config: RunConfig, out_dir: str, verbose: bool) -> int:
     notes = []
     pair = principal_eigenvalue(domain, spec.g)
     lam1 = pair.value
-    if boundary_integral(domain, spec.g) >= 0.0:
+    if nonnegative_integral(domain, spec.g):
         notes.append("weight has nonnegative boundary integral; "
                      "the principal eigenvalue is 0 with constant eigenfunction")
     closed_form = None

@@ -27,8 +27,6 @@ class RunConfig:
     lam_window: tuple
     lam_samples: int
     deltas: tuple
-    newton_tol: float
-    eigen_tol: float
     step_min: float
     step_max: float
     seed: int
@@ -114,8 +112,6 @@ def config_from_dict(raw: dict) -> RunConfig:
         window = _parse_floats(_get(parser, "lambda", "window", "0.001, 0.1"), "window")
         samples = int(_get(parser, "lambda", "samples", "5"))
         deltas = tuple(_parse_floats(_get(parser, "sweep", "deltas", ""), "deltas"))
-        newton_tol = float(_get(parser, "tolerances", "newton", "1e-11"))
-        eigen_tol = float(_get(parser, "tolerances", "eigen", "1e-10"))
         step_min = float(_get(parser, "tolerances", "step_min", "1e-10"))
         step_max = float(_get(parser, "tolerances", "step_max", "0.2"))
         seed = int(_get(parser, "run", "seed", "0"))
@@ -129,16 +125,14 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError(f"unknown form {form!r}")
     if len(window) != 2 or not 0.0 <= window[0] < window[1]:
         raise ConfigError(f"bad lambda window {window}")
-    for label, tol in (("newton", newton_tol), ("eigen", eigen_tol),
-                       ("step_min", step_min), ("step_max", step_max)):
+    for label, tol in (("step_min", step_min), ("step_max", step_max)):
         if tol <= 0.0:
             raise ConfigError(f"tolerance {label} must be positive, got {tol}")
     if samples < 1 or n_inits < 1 or m < 2 or seed < 0:
         raise ConfigError("samples, n_inits, m must be >= 1 (m >= 2); seed >= 0")
     echo = {section: dict(parser.items(section)) for section in parser.sections()}
     return RunConfig(kind, m, p, form, (window[0], window[1]), samples, deltas,
-                     newton_tol, eigen_tol, step_min, step_max, seed, out_dir,
-                     n_inits, echo)
+                     step_min, step_max, seed, out_dir, n_inits, echo)
 
 
 def load_config(path: str) -> RunConfig:

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ive, jv, jvp
 
-from .domain import DISK, INTERVAL, Domain, as_values
+from .domain import INTERVAL, Domain, as_values
 from .errors import SpectralParameterOutOfRange
 
 # First interior Dirichlet eigenvalue: pi^2 on the interval, j_{0,1}^2 on
@@ -42,19 +41,24 @@ class DtnOperator:
 
 
 def _disk_multipliers(m: int, s: float) -> np.ndarray:
-    """Per-mode symbol of the disk DtN; Nyquist mode annihilated."""
-    mult = np.zeros(m // 2 + 1)
-    modes = np.arange(m // 2)
-    if s == 0.0:
-        mult[: m // 2] = modes
-    elif s > 0.0:
-        t = np.sqrt(s)
-        mult[: m // 2] = t * jvp(modes, t) / jv(modes, t)
-    else:
-        t = np.sqrt(-s)
-        # I_n'(t)/I_n(t) via exponentially scaled Bessel ratios.
-        top = np.where(modes == 0, ive(1, t), 0.5 * (ive(modes - 1, t) + ive(modes + 1, t)))
-        mult[: m // 2] = t * top / ive(modes, t)
+    """Per-mode symbol of the disk DtN; Nyquist mode annihilated.
+
+    Mode n has symbol n - eta_n, eta_n = t J_{n+1}(t)/J_n(t) for s = t^2
+    (-t I_{n+1}/I_n for s = -t^2), and eta_{n-1} = s / (2n - eta_n) for
+    either sign.  Run backward from eta = 0 (Miller), this is stable where
+    Bessel ratios underflow; the start error decays like exp(-k^2/t) over
+    k modes, hence the padding.
+    """
+    half = m // 2
+    start = half + 40 + int(6.0 * abs(s) ** 0.25)
+    eta = np.zeros(half)
+    e = 0.0
+    for n in range(start, 0, -1):
+        e = s / (2.0 * n - e)
+        if n <= half:
+            eta[n - 1] = e
+    mult = np.zeros(half + 1)
+    mult[:half] = np.arange(half) - eta
     return mult
 
 
@@ -113,16 +117,19 @@ def dirichlet_energy(dtn: DtnOperator, trace) -> float:
     return float(values @ dtn.matrix @ values)
 
 
-_DISK_MATRIX_CACHE: dict[tuple[int, float], np.ndarray] = {}
+_HARMONIC_CACHE: dict[tuple[str, int], np.ndarray] = {}
 
 
 def dtn_matrix(domain: Domain, s: float = 0.0) -> np.ndarray:
-    """Cached quadrature-absorbed DtN matrix (assembly helper for solvers)."""
-    key = (domain.m if domain.kind == DISK else -domain.m, float(s))
-    cached = _DISK_MATRIX_CACHE.get(key)
-    if cached is None:
-        cached = assemble_helmholtz_dtn(domain, s).matrix
-        if len(_DISK_MATRIX_CACHE) > 4096:
-            _DISK_MATRIX_CACHE.clear()
-        _DISK_MATRIX_CACHE[key] = cached
-    return cached
+    """Quadrature-absorbed DtN matrix (assembly helper for solvers).
+
+    The harmonic (s = 0) matrix is cached per (kind, m); Helmholtz
+    matrices are assembled on every call, because root finds probe a new
+    s each time and would never read them back.
+    """
+    if s != 0.0:
+        return assemble_helmholtz_dtn(domain, s).matrix
+    key = (domain.kind, domain.m)
+    if key not in _HARMONIC_CACHE:
+        _HARMONIC_CACHE[key] = assemble_helmholtz_dtn(domain, 0.0).matrix
+    return _HARMONIC_CACHE[key]

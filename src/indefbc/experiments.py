@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .continuation import Branch, continue_branch, to_logistic
-from .domain import INTERVAL, Domain, as_values, boundary_integral
+from .domain import INTERVAL, Domain, as_values
 from .errors import (
     IndefbcError,
     InsufficientSamples,
@@ -18,7 +18,7 @@ from .errors import (
 )
 from .problem import LOGISTIC, W_FORM, ProblemSpec, logistic_spec
 from .solve import multi_start_solutions, nonexistence_probe
-from .spectral import m_delta, principal_eigenvalue
+from .spectral import m_delta, nonnegative_integral, principal_eigenvalue
 from .weights import build_family
 
 _ORACLE_GRID = 400
@@ -362,9 +362,8 @@ def logistic_scenarios(domain: Domain, r, lam_grid, *,
     """
     rv = as_values(domain, r)
     checks: dict[str, object] = {}
-    int_r = boundary_integral(domain, rv)
     spec = logistic_spec(domain, rv)
-    if int_r > 0.0:
+    if not nonnegative_integral(domain, -rv):
         lam1 = principal_eigenvalue(domain, -rv).value
         branch = continue_branch(spec)
         pos = [pt for pt in branch.points if pt.lam > 0.0]

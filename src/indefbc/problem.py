@@ -14,10 +14,9 @@ from .errors import NonpositiveEOrG, ShapeMismatch
 
 W_FORM = "w-form"
 F_FORM = "f-form"
-SPPR_FORM = "sppr-form"
 LOGISTIC = "logistic"
 
-_FORMS = (W_FORM, F_FORM, SPPR_FORM, LOGISTIC)
+_FORMS = (W_FORM, F_FORM, LOGISTIC)
 
 # Ambient dimension by domain kind, used only for the subcriticality bound
 # 1 < p < N/(N-2) for N > 2 (vacuous here, checked for forward compatibility).

@@ -9,6 +9,7 @@ along a solution branch.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -108,6 +109,30 @@ def _real_pencil_eigs(a: np.ndarray, b: np.ndarray):
     return mus[order], funcs[:, order]
 
 
+def nonnegative_integral(domain: Domain, g) -> bool:
+    """Whether int g >= 0 up to round-off relative to int |g|."""
+    gv = as_values(domain, g)
+    return boundary_integral(domain, gv) >= -1e-12 * boundary_integral(domain, np.abs(gv))
+
+
+def _steklov_pencil(domain: Domain, gv: np.ndarray):
+    """Finite real eigenpairs of Lambda phi = lambda M_g phi, less lambda = 0.
+
+    lambda = 0 (constants) is always present, moved off 0 by round-off
+    that grows with m (2e-12 at m = 512): drop the least |lambda|.
+    """
+    a = dtn_matrix(domain)
+    b = np.diag(domain.weights * gv)
+    basis = _resolved_basis(domain)
+    if basis is None:
+        mus, funcs = _real_pencil_eigs(a, b)
+    else:
+        mus, funcs = _real_pencil_eigs(basis.T @ a @ basis, basis.T @ b @ basis)
+        funcs = basis @ funcs
+    keep = np.abs(mus) > np.min(np.abs(mus), initial=np.inf)
+    return mus[keep], funcs[:, keep]
+
+
 def principal_eigenvalue(domain: Domain, g) -> EigenPair:
     """Positive principal eigenvalue lambda_1(g) of the linear pencil.
 
@@ -116,39 +141,24 @@ def principal_eigenvalue(domain: Domain, g) -> EigenPair:
     (0, constant) is returned.
     """
     gv = as_values(domain, g)
-    a = dtn_matrix(domain)
-    if boundary_integral(domain, gv) >= 0.0:
+    if nonnegative_integral(domain, gv):
         const = np.ones(domain.m)
         func = _h1_normalize(domain, const)
         return EigenPair(0.0, BoundaryFunction(domain, func), "H1", 0.0)
-    b = np.diag(domain.weights * gv)
-    basis = _resolved_basis(domain)
-    if basis is not None:
-        mus, funcs = _real_pencil_eigs(basis.T @ a @ basis, basis.T @ b @ basis)
-        funcs = basis @ funcs
-    else:
-        mus, funcs = _real_pencil_eigs(a, b)
+    mus, funcs = _steklov_pencil(domain, gv)
     for lam, vec in zip(mus, funcs.T):
-        if lam <= 1e-12:
-            continue
-        if _is_one_signed(_fix_sign(vec)):
+        if lam > 0.0 and _is_one_signed(_fix_sign(vec)):
             func = _h1_normalize(domain, vec)
-            res = float(np.linalg.norm(
-                _resolved_defect(domain, a @ func - lam * b @ func)))
+            defect = dtn_matrix(domain) @ func - lam * domain.weights * gv * func
+            res = float(np.linalg.norm(_resolved_defect(domain, defect)))
             return EigenPair(float(lam), BoundaryFunction(domain, func), "H1", res)
     raise RootNotBracketed("no positive principal eigenvalue found in the pencil")
 
 
 def second_positive_pencil_eigenvalue(domain: Domain, g) -> float:
     """Second-smallest positive eigenvalue of the lambda_1 pencil (simplicity probe)."""
-    gv = as_values(domain, g)
-    a = dtn_matrix(domain)
-    b = np.diag(domain.weights * gv)
-    basis = _resolved_basis(domain)
-    if basis is not None:
-        a, b = basis.T @ a @ basis, basis.T @ b @ basis
-    mus, _ = _real_pencil_eigs(a, b)
-    positive = np.sort(mus[mus > 1e-12])
+    mus, _ = _steklov_pencil(domain, as_values(domain, g))
+    positive = np.sort(mus[mus > 0.0])
     return float(positive[1]) if len(positive) >= 2 else math.inf
 
 
@@ -176,54 +186,52 @@ def _resolved_defect(domain: Domain, defect: np.ndarray) -> np.ndarray:
 def _root_find_decreasing(beta, s_max: float, label: str) -> float:
     """Root of a strictly decreasing scalar function, bracketed from 0.
 
-    Doubling bracket expansion from s = 0, bisection to width 1e-12, one
-    finite-difference Newton polish.
+    Doubling bracket expansion from s = 0, then Brent's method on the
+    bracket.  A non-finite value raises instead of steering the search.
     """
-    b0 = beta(0.0)
+    # Deferred: scipy.optimize takes about 0.3 s to import, which every
+    # ``import indefbc`` would pay whether or not it finds a root.
+    from scipy.optimize import brentq
+
+    @functools.lru_cache(maxsize=None)  # brentq re-evaluates the bracket ends
+    def checked(s: float) -> float:
+        value = beta(s)
+        if not math.isfinite(value):
+            raise RootNotBracketed(f"{label}: non-finite value {value} at s={s}")
+        return value
+
+    b0 = checked(0.0)
     if b0 == 0.0:
         return 0.0
     if b0 > 0.0:
-        lo, blo = 0.0, b0
-        step = min(1e-3, 0.125 * s_max)
-        hi = step
-        while True:
-            if hi > s_max:
-                hi = s_max
-            bhi = beta(hi)
-            if bhi <= 0.0:
-                break
+        lo, hi = 0.0, min(1e-3, 0.125 * s_max)
+        while checked(hi) > 0.0:
             if hi >= s_max:
                 raise RootNotBracketed(f"{label}: no sign change below the Dirichlet guard")
-            lo, blo = hi, bhi
-            hi = min(2.0 * hi, s_max)
+            lo, hi = hi, min(2.0 * hi, s_max)
     else:
-        hi, bhi = 0.0, b0
-        lo = -min(1e-3, 0.125 * max(s_max, 1.0))
-        while True:
-            blo = beta(lo)
-            if blo >= 0.0:
-                break
-            hi, bhi = lo, blo
-            lo *= 2.0
+        lo, hi = -min(1e-3, 0.125 * max(s_max, 1.0)), 0.0
+        while checked(lo) < 0.0:
             if lo < -1e12:
                 raise RootNotBracketed(f"{label}: no sign change down to {lo}")
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        bm = beta(mid)
-        if bm > 0.0:
-            lo = mid
-        elif bm < 0.0:
-            hi = mid
-        else:
-            return mid
-    root = 0.5 * (lo + hi)
-    h = max(1e-9, 1e-9 * abs(root))
-    db = (beta(root + h) - beta(root - h)) / (2.0 * h)
-    if db != 0.0:
-        polished = root - beta(root) / db
-        if lo - 1e-9 <= polished <= hi + 1e-9:
-            root = polished
-    return root
+            lo, hi = 2.0 * lo, lo
+    return brentq(checked, lo, hi, xtol=1e-14)
+
+
+def _shifted_root(domain: Domain, weight: np.ndarray, shift: float, label: str) -> EigenPair:
+    """Root s of beta(s) - shift * s, with beta(s) the smallest eigenvalue of
+    DtN_s - M_weight (decreasing in s), and its boundary-L2 eigenfunction."""
+    s_max = first_dirichlet_eigenvalue(domain) - 2 * DIRICHLET_GUARD
+
+    def beta(s: float) -> float:
+        return _beta_smallest(domain, s, weight)[0] - shift * s
+
+    root = _root_find_decreasing(beta, s_max, label)
+    _, vec = _beta_smallest(domain, root, weight)
+    func = _boundary_l2_normalize(domain, vec)
+    defect = dtn_matrix(domain, root) @ func - domain.weights * (weight + shift * root) * func
+    return EigenPair(float(root), BoundaryFunction(domain, func), "boundary-L2",
+                     float(np.linalg.norm(_resolved_defect(domain, defect))))
 
 
 def sigma1(domain: Domain, g, lam: float) -> EigenPair:
@@ -232,19 +240,7 @@ def sigma1(domain: Domain, g, lam: float) -> EigenPair:
     Found as the root of s -> smallest eigenvalue of (DtN_s - lambda M_g),
     which is strictly decreasing in s.
     """
-    gv = as_values(domain, g)
-    s_max = first_dirichlet_eigenvalue(domain) - 2 * DIRICHLET_GUARD
-
-    def beta(s: float) -> float:
-        return _beta_smallest(domain, s, lam * gv)[0]
-
-    root = _root_find_decreasing(beta, s_max, "sigma1")
-    _, vec = _beta_smallest(domain, root, lam * gv)
-    func = _boundary_l2_normalize(domain, vec)
-    a = dtn_matrix(domain, root)
-    defect = a @ func - np.diag(domain.weights * lam * gv) @ func
-    res = float(np.linalg.norm(_resolved_defect(domain, defect)))
-    return EigenPair(float(root), BoundaryFunction(domain, func), "boundary-L2", res)
+    return _shifted_root(domain, lam * as_values(domain, g), 0.0, "sigma1")
 
 
 def gamma1(domain: Domain, g, lam: float, w, p: float, h=None) -> EigenPair:
@@ -258,18 +254,7 @@ def gamma1(domain: Domain, g, lam: float, w, p: float, h=None) -> EigenPair:
     wv = as_values(domain, w)
     hv = gv if h is None else as_values(domain, h)
     weight = lam * gv + p * hv * np.abs(wv) ** (p - 1.0)
-    s_max = first_dirichlet_eigenvalue(domain) - 2 * DIRICHLET_GUARD
-
-    def beta(gamma: float) -> float:
-        return _beta_smallest(domain, gamma, weight)[0] - gamma
-
-    root = _root_find_decreasing(beta, s_max, "gamma1")
-    _, vec = _beta_smallest(domain, root, weight)
-    func = _boundary_l2_normalize(domain, vec)
-    a = dtn_matrix(domain, root)
-    defect = a @ func - np.diag(domain.weights * weight) @ func - root * domain.weights * func
-    return EigenPair(float(root), BoundaryFunction(domain, func), "boundary-L2",
-                     float(np.linalg.norm(_resolved_defect(domain, defect))))
+    return _shifted_root(domain, weight, 1.0, "gamma1")
 
 
 def weighted_steklov_spectrum(domain: Domain, g, lam: float, w, p: float) -> MuSpectrum:

@@ -160,7 +160,7 @@ def test_config_validation_messages(tmp_path):
     with pytest.raises(ConfigError):
         config_from_dict({"lambda": {"window": "0.5, 0.1"}})
     with pytest.raises(ConfigError):
-        config_from_dict({"tolerances": {"newton": "-1"}})
+        config_from_dict({"tolerances": {"step_min": "-1"}})
     with pytest.raises(ConfigError):
         config_from_dict({"domain": {"kind": "triangle"}})
     cfg = load_config(_write(tmp_path, INTERVAL_INI))

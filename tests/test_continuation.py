@@ -8,7 +8,12 @@ from indefbc.continuation import (
     to_sppr,
 )
 from indefbc.domain import build_domain
-from indefbc.errors import NonpositiveLambdaPoint, RootNotBracketed, UNotAboveOne
+from indefbc.errors import (
+    NonpositiveLambdaPoint,
+    RootNotBracketed,
+    ShapeMismatch,
+    UNotAboveOne,
+)
 from indefbc.problem import ProblemSpec, logistic_spec
 from indefbc.weights import trig_weight
 from conftest import sign_changing_disk_weight
@@ -138,6 +143,8 @@ def test_logistic_transform_validates_spec(interval):
     branch = continue_branch(spec, lam_window=(1e-4, 1.0))
     with pytest.raises(UNotAboveOne):
         to_logistic(branch, np.array([5.0, -1.0]))  # r != -g
+    with pytest.raises(ShapeMismatch):
+        ProblemSpec(interval, 2.0, G_1D, form="sppr-form")  # to_sppr covers it
 
 
 def test_step_options_control_termination(interval):

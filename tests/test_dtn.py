@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -117,3 +119,18 @@ def test_matrix_cache_consistency(disk16):
     direct = assemble_helmholtz_dtn(disk16, 0.7).matrix
     assert np.array_equal(dtn_matrix(disk16, 0.7), direct)
     assert np.array_equal(dtn_matrix(disk16, 0.7), dtn_matrix(disk16, 0.7))
+
+
+def test_matrix_cache_keeps_only_the_harmonic_matrix(disk32):
+    harmonic = dtn_matrix(disk32)
+    assert dtn_matrix(disk32, 0.0) is harmonic
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for s in np.linspace(-3.0, 3.0, 64):
+            dtn_matrix(disk32, float(s))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < harmonic.nbytes  # no Helmholtz matrix stays cached
+    assert dtn_matrix(disk32) is harmonic

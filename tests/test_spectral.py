@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import indefbc.spectral
 from indefbc.dtn import dirichlet_energy, assemble_dtn, dtn_matrix
-from indefbc.domain import harmonic_extension_eval, volume_l2_norm_sq
-from indefbc.errors import PencilNotPositiveDefinite
+from indefbc.domain import build_domain, harmonic_extension_eval, volume_l2_norm_sq
+from indefbc.errors import PencilNotPositiveDefinite, RootNotBracketed
 from indefbc.problem import ProblemSpec, residual_jacobian
 from indefbc.solve import newton_solve
 from indefbc.spectral import (
@@ -16,6 +20,7 @@ from indefbc.spectral import (
     sigma1,
     weighted_steklov_spectrum,
 )
+from indefbc.weights import trig_weight
 from conftest import random_interval_weight, sign_changing_disk_weight
 
 
@@ -34,8 +39,12 @@ def test_interval_principal_eigenvalue_closed_form(interval):
 
 
 def test_nonnegative_average_gives_zero_with_constant(interval, disk16):
+    disk64 = build_domain("unit-disk", 64)
+    # README plateau weight: its integral vanishes, -2.6e-16 after round-off
+    plateau = trig_weight(disk64, [(1, 1.0, 0.0)], [(-0.4, 0.4), (2.74, 3.54)], 0.05)
     for dom, g in ((interval, np.array([2.0, -1.0])),
-                   (disk16, np.cos(disk16.nodes) + 0.5)):
+                   (disk16, np.cos(disk16.nodes) + 0.5),
+                   (disk64, plateau)):
         pair = principal_eigenvalue(dom, g)
         assert pair.value == 0.0
         v = pair.eigenfunction.values
@@ -94,8 +103,9 @@ def test_sigma1_matches_transcendental_oracle(interval):
 
 
 def test_sigma1_sign_law(interval, disk16):
-    cases = [(interval, np.array([1.0, -4.0])),
-             (disk16, sign_changing_disk_weight(disk16))]
+    cases = [(interval, np.array([1.0, -4.0]))]
+    for dom in (disk16, build_domain("unit-disk", 128), build_domain("unit-disk", 256)):
+        cases.append((dom, sign_changing_disk_weight(dom)))
     for dom, g in cases:
         lam1 = principal_eigenvalue(dom, g).value
         assert abs(sigma1(dom, g, 0.0).value) < 1e-10
@@ -103,6 +113,56 @@ def test_sigma1_sign_law(interval, disk16):
         for lam in np.linspace(0.15 * lam1, 0.85 * lam1, 4):
             assert sigma1(dom, g, float(lam)).value > 0.0
         assert sigma1(dom, g, 1.5 * lam1).value < 0.0
+
+
+def test_sigma1_raises_on_non_finite_beta(disk16, monkeypatch):
+    """A NaN beta inside the bracket raises instead of ending the search."""
+    g = sign_changing_disk_weight(disk16)
+    lam = 0.5 * principal_eigenvalue(disk16, g).value
+    root = sigma1(disk16, g, lam).value
+    finite_beta = indefbc.spectral._beta_smallest
+
+    def nan_near_root(domain, s, weight):
+        if abs(s - root) < 0.25 * root:
+            return math.nan, np.full(domain.m, math.nan)
+        return finite_beta(domain, s, weight)
+
+    monkeypatch.setattr(indefbc.spectral, "_beta_smallest", nan_near_root)
+    with pytest.raises(RootNotBracketed):
+        sigma1(disk16, g, lam)
+
+
+def test_disk_eigenvalues_converge_in_m():
+    """lambda_1, sigma_1(lambda_1/2) and gamma_1 at a fixed trace do not drift with m.
+
+    The weight and the trace hold only modes 0 and 1, so every m >= 16
+    resolves them exactly and the values agree to round-off.
+    """
+    def values(m):
+        dom = build_domain("unit-disk", m)
+        g = sign_changing_disk_weight(dom)
+        lam1 = principal_eigenvalue(dom, g).value
+        w = 0.2 + 0.1 * np.cos(dom.nodes)
+        sig = sigma1(dom, g, 0.5 * lam1)
+        gam = gamma1(dom, g, 0.3 * lam1, w, 2.0)
+        assert sig.residual < 1e-8 and gam.residual < 1e-8
+        return np.array([lam1, sig.value, gam.value])
+
+    reference = values(64)
+    for m in (256, 512):
+        assert np.max(np.abs(values(m) - reference)) < 1e-10
+
+
+def test_import_defers_scipy_optimize_and_special():
+    """``import indefbc`` stays cheap: root finding imports scipy.optimize lazily."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(indefbc.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, indefbc; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
