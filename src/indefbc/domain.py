@@ -41,8 +41,10 @@ class Domain:
 def build_domain(kind: str, m: int) -> Domain:
     """Build a boundary discretization with its quadrature weights.
 
-    The interval requires m == 2; the disk requires m >= 8 and even
-    (the Nyquist mode is handled by the DtN assembly).
+    The interval requires m == 2; the disk requires m >= 8 and even.  The
+    disk's volume norm and harmonic extension drop the Nyquist mode n = m/2:
+    its sine part vanishes at every node, so the nodal values do not fix
+    its extension.
     """
     if kind == INTERVAL:
         if m < 2:
@@ -112,7 +114,8 @@ def harmonic_extension_eval(domain: Domain, trace, point) -> float:
 
     Interval: linear interpolation at x in (0, 1).  Disk: Fourier synthesis
     with mode n scaled by r^|n| at a cartesian point (x, y), |point| < 1.
-    The disk Nyquist mode is dropped, matching the DtN convention.
+    The disk Nyquist mode is dropped: its sine part vanishes at every node,
+    so the nodal values do not determine its extension.
     """
     values = as_values(domain, trace)
     if domain.kind == INTERVAL:

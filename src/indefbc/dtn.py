@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .domain import INTERVAL, Domain, as_values
 from .errors import SpectralParameterOutOfRange
@@ -41,33 +42,24 @@ class DtnOperator:
 
 
 def _disk_multipliers(m: int, s: float) -> np.ndarray:
-    """Per-mode symbol of the disk DtN; Nyquist mode annihilated.
+    """Per-mode symbol of the disk DtN for modes n = 0 .. m/2.
 
     Mode n has symbol n - eta_n, eta_n = t J_{n+1}(t)/J_n(t) for s = t^2
     (-t I_{n+1}/I_n for s = -t^2), and eta_{n-1} = s / (2n - eta_n) for
     either sign.  Run backward from eta = 0 (Miller), this is stable where
     Bessel ratios underflow; the start error decays like exp(-k^2/t) over
-    k modes, hence the padding.
+    k modes, hence the padding.  The Nyquist entry n = m/2 is the symbol of
+    cos(m theta / 2), the one mode of that frequency the nodes carry.
     """
     half = m // 2
     start = half + 40 + int(6.0 * abs(s) ** 0.25)
-    eta = np.zeros(half)
+    eta = np.zeros(half + 1)
     e = 0.0
     for n in range(start, 0, -1):
         e = s / (2.0 * n - e)
-        if n <= half:
+        if n <= half + 1:
             eta[n - 1] = e
-    mult = np.zeros(half + 1)
-    mult[:half] = np.arange(half) - eta
-    return mult
-
-
-def _disk_matrix(m: int, mult: np.ndarray) -> np.ndarray:
-    """Collocation matrix of a Fourier multiplier on m equispaced nodes."""
-    eye = np.eye(m)
-    coeffs = np.fft.rfft(eye, axis=0)
-    out = np.fft.irfft(mult[:, None] * coeffs, n=m, axis=0)
-    return out
+    return np.arange(half + 1) - eta
 
 
 def _interval_matrix(s: float) -> np.ndarray:
@@ -103,10 +95,10 @@ def assemble_helmholtz_dtn(domain: Domain, s: float) -> DtnOperator:
     if domain.kind == INTERVAL:
         raw = _interval_matrix(s)
     else:
-        raw = _disk_matrix(domain.m, _disk_multipliers(domain.m, s))
-    matrix = domain.weights[:, None] * raw
-    matrix = 0.5 * (matrix + matrix.T)  # kill roundoff asymmetry
-    return DtnOperator(domain, s, matrix)
+        # collocation matrix of the symbol: the circulant with first column
+        # irfft(symbol); that column is even, so toeplitz() gives it, symmetric
+        raw = scipy.linalg.toeplitz(np.fft.irfft(_disk_multipliers(domain.m, s), n=domain.m))
+    return DtnOperator(domain, s, domain.weights[:, None] * raw)
 
 
 def dirichlet_energy(dtn: DtnOperator, trace) -> float:

@@ -25,6 +25,10 @@ class RootNotBracketed(IndefbcError):
     """Safeguarded root search exhausted its window without a sign change."""
 
 
+class ResidualAboveTolerance(IndefbcError):
+    """A solved eigenpair's residual is non-finite or above its tolerance."""
+
+
 class PencilNotPositiveDefinite(IndefbcError):
     """The coercive part of an eigenvalue pencil failed its definiteness check."""
 

@@ -17,7 +17,6 @@ import numpy as np
 import scipy.linalg
 
 from .domain import (
-    DISK,
     BoundaryFunction,
     Domain,
     as_values,
@@ -25,14 +24,20 @@ from .domain import (
     volume_l2_norm_sq,
 )
 from .dtn import DIRICHLET_GUARD, dtn_matrix, first_dirichlet_eigenvalue
-from .errors import EmptyBranch, PencilNotPositiveDefinite, RootNotBracketed
+from .errors import (
+    EmptyBranch,
+    PencilNotPositiveDefinite,
+    ResidualAboveTolerance,
+    RootNotBracketed,
+)
 
 _RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class EigenPair:
-    """A solved eigenvalue with its boundary eigenfunction."""
+    """A solved eigenvalue with its boundary eigenfunction; the solvers raise
+    rather than return a residual above _RESIDUAL_TOL * (1 + max|weight|)."""
 
     value: float
     eigenfunction: BoundaryFunction
@@ -72,30 +77,14 @@ def _is_one_signed(v: np.ndarray) -> bool:
     return bool(np.all(v > 0) or np.all(v < 0))
 
 
-_BASIS_CACHE: dict[int, np.ndarray] = {}
-
-
-def _resolved_basis(domain: Domain) -> np.ndarray | None:
-    """Orthonormal basis of the spectrally resolved trace space.
-
-    The disk DtN assembly annihilates the Nyquist mode, so that direction
-    carries no stiffness and must be excluded from eigenvalue solves;
-    this returns an m x (m-1) orthonormal basis of its complement (via a
-    Householder reflector), or None on the interval where every mode is
-    resolved exactly.
-    """
-    if domain.kind != DISK:
-        return None
-    m = domain.m
-    basis = _BASIS_CACHE.get(m)
-    if basis is None:
-        nyquist = np.where(np.arange(m) % 2 == 0, 1.0, -1.0) / math.sqrt(m)
-        v = nyquist.copy()
-        v[-1] -= 1.0
-        house = np.eye(m) - 2.0 * np.outer(v, v) / float(v @ v)
-        basis = house[:, : m - 1]
-        _BASIS_CACHE[m] = basis
-    return basis
+def _checked_pair(domain: Domain, value: float, func: np.ndarray, defect: np.ndarray,
+                  weight: np.ndarray, normalization: str, label: str) -> EigenPair:
+    """EigenPair with residual |defect|; raises if it is non-finite or above the bound."""
+    res = float(np.linalg.norm(defect))
+    bound = _RESIDUAL_TOL * (1.0 + float(np.max(np.abs(weight))))
+    if not res <= bound:
+        raise ResidualAboveTolerance(f"{label}: residual {res} above {bound}")
+    return EigenPair(float(value), BoundaryFunction(domain, func), normalization, res)
 
 
 def _real_pencil_eigs(a: np.ndarray, b: np.ndarray):
@@ -121,14 +110,7 @@ def _steklov_pencil(domain: Domain, gv: np.ndarray):
     lambda = 0 (constants) is always present, moved off 0 by round-off
     that grows with m (2e-12 at m = 512): drop the least |lambda|.
     """
-    a = dtn_matrix(domain)
-    b = np.diag(domain.weights * gv)
-    basis = _resolved_basis(domain)
-    if basis is None:
-        mus, funcs = _real_pencil_eigs(a, b)
-    else:
-        mus, funcs = _real_pencil_eigs(basis.T @ a @ basis, basis.T @ b @ basis)
-        funcs = basis @ funcs
+    mus, funcs = _real_pencil_eigs(dtn_matrix(domain), np.diag(domain.weights * gv))
     keep = np.abs(mus) > np.min(np.abs(mus), initial=np.inf)
     return mus[keep], funcs[:, keep]
 
@@ -149,9 +131,9 @@ def principal_eigenvalue(domain: Domain, g) -> EigenPair:
     for lam, vec in zip(mus, funcs.T):
         if lam > 0.0 and _is_one_signed(_fix_sign(vec)):
             func = _h1_normalize(domain, vec)
-            defect = dtn_matrix(domain) @ func - lam * domain.weights * gv * func
-            res = float(np.linalg.norm(_resolved_defect(domain, defect)))
-            return EigenPair(float(lam), BoundaryFunction(domain, func), "H1", res)
+            weight = lam * gv
+            defect = dtn_matrix(domain) @ func - domain.weights * weight * func
+            return _checked_pair(domain, lam, func, defect, weight, "H1", "lambda1")
     raise RootNotBracketed("no positive principal eigenvalue found in the pencil")
 
 
@@ -165,22 +147,10 @@ def second_positive_pencil_eigenvalue(domain: Domain, g) -> float:
 def _beta_smallest(domain: Domain, s: float,
                    boundary_weight: np.ndarray) -> tuple[float, np.ndarray]:
     """Smallest generalized eigenvalue of (DtN_s - Q diag(w)) with respect to Q."""
-    a = dtn_matrix(domain, s)
-    mat = a - np.diag(domain.weights * boundary_weight)
+    mat = dtn_matrix(domain, s) - np.diag(domain.weights * boundary_weight)
     # Q = c * I on both domains, so the generalized problem is a plain eigh.
-    q = domain.weights[0]
-    basis = _resolved_basis(domain)
-    if basis is not None:
-        vals, vecs = np.linalg.eigh(basis.T @ (mat / q) @ basis)
-        return float(vals[0]), basis @ vecs[:, 0]
-    vals, vecs = np.linalg.eigh(mat / q)
+    vals, vecs = scipy.linalg.eigh(mat / domain.weights[0], subset_by_index=[0, 0])
     return float(vals[0]), vecs[:, 0]
-
-
-def _resolved_defect(domain: Domain, defect: np.ndarray) -> np.ndarray:
-    """Residual component within the spectrally resolved trace space."""
-    basis = _resolved_basis(domain)
-    return defect if basis is None else basis.T @ defect
 
 
 def _root_find_decreasing(beta, s_max: float, label: str) -> float:
@@ -229,9 +199,9 @@ def _shifted_root(domain: Domain, weight: np.ndarray, shift: float, label: str) 
     root = _root_find_decreasing(beta, s_max, label)
     _, vec = _beta_smallest(domain, root, weight)
     func = _boundary_l2_normalize(domain, vec)
-    defect = dtn_matrix(domain, root) @ func - domain.weights * (weight + shift * root) * func
-    return EigenPair(float(root), BoundaryFunction(domain, func), "boundary-L2",
-                     float(np.linalg.norm(_resolved_defect(domain, defect))))
+    shifted = weight + shift * root
+    defect = dtn_matrix(domain, root) @ func - domain.weights * shifted * func
+    return _checked_pair(domain, root, func, defect, shifted, "boundary-L2", label)
 
 
 def sigma1(domain: Domain, g, lam: float) -> EigenPair:
@@ -269,9 +239,6 @@ def weighted_steklov_spectrum(domain: Domain, g, lam: float, w, p: float) -> MuS
     wv = as_values(domain, w)
     a = dtn_matrix(domain) - np.diag(domain.weights * lam * gv)
     b = np.diag(domain.weights * gv * np.abs(wv) ** (p - 1.0))
-    basis = _resolved_basis(domain)
-    if basis is not None:
-        a, b = basis.T @ a @ basis, basis.T @ b @ basis
     evals, evecs = np.linalg.eigh(a)
     scale = max(abs(evals[0]), abs(evals[-1]), 1.0)
     if evals[0] < -1e-10 * scale:
@@ -290,8 +257,6 @@ def weighted_steklov_spectrum(domain: Domain, g, lam: float, w, p: float) -> MuS
     order = np.argsort(mus)
     mus = mus[order]
     funcs = funcs[:, order]
-    if basis is not None:
-        funcs = basis @ funcs
     funcs = np.column_stack([_boundary_l2_normalize(domain, f) for f in funcs.T])
     principal = np.array([_is_one_signed(f) for f in funcs.T])
 

@@ -9,7 +9,7 @@ import pytest
 import indefbc.spectral
 from indefbc.dtn import dirichlet_energy, assemble_dtn, dtn_matrix
 from indefbc.domain import build_domain, harmonic_extension_eval, volume_l2_norm_sq
-from indefbc.errors import PencilNotPositiveDefinite, RootNotBracketed
+from indefbc.errors import PencilNotPositiveDefinite, ResidualAboveTolerance, RootNotBracketed
 from indefbc.problem import ProblemSpec, residual_jacobian
 from indefbc.solve import newton_solve
 from indefbc.spectral import (
@@ -129,6 +129,20 @@ def test_sigma1_raises_on_non_finite_beta(disk16, monkeypatch):
 
     monkeypatch.setattr(indefbc.spectral, "_beta_smallest", nan_near_root)
     with pytest.raises(RootNotBracketed):
+        sigma1(disk16, g, lam)
+
+
+def test_sigma1_raises_on_wrong_eigenvector(disk16, monkeypatch):
+    """A root whose eigenvector does not solve the pencil raises."""
+    g = sign_changing_disk_weight(disk16)
+    lam = 0.5 * principal_eigenvalue(disk16, g).value
+    true_beta = indefbc.spectral._beta_smallest
+
+    def wrong_vector(domain, s, weight):  # the root is right, the vector is not
+        return true_beta(domain, s, weight)[0], np.cos(domain.nodes) + 2.0
+
+    monkeypatch.setattr(indefbc.spectral, "_beta_smallest", wrong_vector)
+    with pytest.raises(ResidualAboveTolerance):
         sigma1(disk16, g, lam)
 
 
