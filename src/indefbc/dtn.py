@@ -41,39 +41,56 @@ class DtnOperator:
         return (self.matrix @ values) / self.domain.weights
 
 
-def _disk_multipliers(m: int, s: float) -> np.ndarray:
-    """Per-mode symbol of the disk DtN for modes n = 0 .. m/2.
+def _disk_multipliers(m: int, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode symbol of the disk DtN for modes n = 0 .. m/2, and its slope in s.
 
     Mode n has symbol n - eta_n, eta_n = t J_{n+1}(t)/J_n(t) for s = t^2
     (-t I_{n+1}/I_n for s = -t^2), and eta_{n-1} = s / (2n - eta_n) for
     either sign.  Run backward from eta = 0 (Miller), this is stable where
     Bessel ratios underflow; the start error decays like exp(-k^2/t) over
-    k modes, hence the padding.  The Nyquist entry n = m/2 is the symbol of
+    k modes, hence the padding.  Differentiating the recurrence gives
+    eta'_{n-1} = (1 + eta_{n-1} eta'_n) / (2n - eta_n), and the symbol's
+    slope is -eta'_n.  The Nyquist entry n = m/2 is the symbol of
     cos(m theta / 2), the one mode of that frequency the nodes carry.
     """
     half = m // 2
     start = half + 40 + int(6.0 * abs(s) ** 0.25)
     eta = np.zeros(half + 1)
-    e = 0.0
+    deta = np.zeros(half + 1)
+    e = de = 0.0
     for n in range(start, 0, -1):
-        e = s / (2.0 * n - e)
+        denom = 2.0 * n - e
+        e = s / denom
+        de = (1.0 + e * de) / denom
         if n <= half + 1:
             eta[n - 1] = e
-    return np.arange(half + 1) - eta
+            deta[n - 1] = de
+    return np.arange(half + 1) - eta, -deta
 
 
-def _interval_matrix(s: float) -> np.ndarray:
-    if s == 0.0:
-        a, b = 1.0, -1.0
-    elif s > 0.0:
+def _interval_entries(s: float) -> tuple[float, float, float, float]:
+    """Entries a, b of the interval DtN [[a, b], [b, a]] and their slopes a', b' in s.
+
+    a = t cot t and b = -t / sin t for s = t^2; a = t / tanh t and
+    b = -t csch t for s = -t^2, with csch t = -2 e^-t / expm1(-2t), which
+    does not overflow for large t.  Near s = 0 the closed-form slopes
+    cancel, and the series a' = -1/3 - 2s/45, b' = -1/6 - 7s/180 is used.
+    """
+    if s > 0.0:
         t = np.sqrt(s)
-        a = t * np.cos(t) / np.sin(t)
-        b = -t / np.sin(t)
-    else:
+        cot, csc = np.cos(t) / np.sin(t), 1.0 / np.sin(t)
+        a, b = t * cot, -t * csc
+        da, db = (cot - t * csc * csc) / (2.0 * t), csc * (t * cot - 1.0) / (2.0 * t)
+    elif s < 0.0:
         t = np.sqrt(-s)
-        a = t * np.cosh(t) / np.sinh(t)
-        b = -t / np.sinh(t)
-    return np.array([[a, b], [b, a]])
+        coth, csch = 1.0 / np.tanh(t), -2.0 * np.exp(-t) / np.expm1(-2.0 * t)
+        a, b = t * coth, -t * csch
+        da, db = (t * csch * csch - coth) / (2.0 * t), csch * (1.0 - t * coth) / (2.0 * t)
+    else:
+        a, b = 1.0, -1.0
+    if abs(s) < 1e-5:
+        da, db = -1.0 / 3.0 - 2.0 * s / 45.0, -1.0 / 6.0 - 7.0 * s / 180.0
+    return a, b, da, db
 
 
 def assemble_dtn(domain: Domain) -> DtnOperator:
@@ -93,12 +110,29 @@ def assemble_helmholtz_dtn(domain: Domain, s: float) -> DtnOperator:
             f"s={s} within guard of the Dirichlet eigenvalue {limit}"
         )
     if domain.kind == INTERVAL:
-        raw = _interval_matrix(s)
+        a, b, _, _ = _interval_entries(s)
+        raw = np.array([[a, b], [b, a]])
     else:
         # collocation matrix of the symbol: the circulant with first column
         # irfft(symbol); that column is even, so toeplitz() gives it, symmetric
-        raw = scipy.linalg.toeplitz(np.fft.irfft(_disk_multipliers(domain.m, s), n=domain.m))
+        raw = scipy.linalg.toeplitz(np.fft.irfft(_disk_multipliers(domain.m, s)[0], n=domain.m))
     return DtnOperator(domain, s, domain.weights[:, None] * raw)
+
+
+def dtn_slope_form(domain: Domain, s: float, values) -> float:
+    """v . (dL_s/ds) v for the trace -> normal-derivative map L_s (Q removed).
+
+    By Hellmann-Feynman this is the slope in s of an eigenvalue of L_s - W
+    whose eigenvector is the unit vector v.  On the disk L_s is the
+    circulant of the symbol, so the form is a Parseval sum over rfft(v).
+    """
+    v = as_values(domain, values)
+    if domain.kind == INTERVAL:
+        _, _, da, db = _interval_entries(s)
+        return float(da * (v @ v) + 2.0 * db * v[0] * v[1])
+    power = np.abs(np.fft.rfft(v)) ** 2
+    power[1:-1] *= 2.0  # modes 1 .. m/2 - 1 each stand for a conjugate pair
+    return float(power @ _disk_multipliers(domain.m, s)[1]) / domain.m
 
 
 def dirichlet_energy(dtn: DtnOperator, trace) -> float:

@@ -9,7 +9,6 @@ along a solution branch.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +22,7 @@ from .domain import (
     boundary_integral,
     volume_l2_norm_sq,
 )
-from .dtn import DIRICHLET_GUARD, dtn_matrix, first_dirichlet_eigenvalue
+from .dtn import DIRICHLET_GUARD, dtn_matrix, dtn_slope_form, first_dirichlet_eigenvalue
 from .errors import (
     EmptyBranch,
     PencilNotPositiveDefinite,
@@ -32,6 +31,8 @@ from .errors import (
 )
 
 _RESIDUAL_TOL = 1e-8
+_S_FLOOR = -1e12  # the sigma_1 / gamma_1 root search gives up below this s
+_MAX_ROOT_STEPS = 200  # bisection alone narrows the widest bracket to 1e-14 in 87
 
 
 @dataclass(frozen=True)
@@ -153,55 +154,63 @@ def _beta_smallest(domain: Domain, s: float,
     return float(vals[0]), vecs[:, 0]
 
 
-def _root_find_decreasing(beta, s_max: float, label: str) -> float:
-    """Root of a strictly decreasing scalar function, bracketed from 0.
-
-    Doubling bracket expansion from s = 0, then Brent's method on the
-    bracket.  A non-finite value raises instead of steering the search.
-    """
-    # Deferred: scipy.optimize takes about 0.3 s to import, which every
-    # ``import indefbc`` would pay whether or not it finds a root.
-    from scipy.optimize import brentq
-
-    @functools.lru_cache(maxsize=None)  # brentq re-evaluates the bracket ends
-    def checked(s: float) -> float:
-        value = beta(s)
-        if not math.isfinite(value):
-            raise RootNotBracketed(f"{label}: non-finite value {value} at s={s}")
-        return value
-
-    b0 = checked(0.0)
-    if b0 == 0.0:
-        return 0.0
-    if b0 > 0.0:
-        lo, hi = 0.0, min(1e-3, 0.125 * s_max)
-        while checked(hi) > 0.0:
-            if hi >= s_max:
-                raise RootNotBracketed(f"{label}: no sign change below the Dirichlet guard")
-            lo, hi = hi, min(2.0 * hi, s_max)
-    else:
-        lo, hi = -min(1e-3, 0.125 * max(s_max, 1.0)), 0.0
-        while checked(lo) < 0.0:
-            if lo < -1e12:
-                raise RootNotBracketed(f"{label}: no sign change down to {lo}")
-            lo, hi = 2.0 * lo, lo
-    return brentq(checked, lo, hi, xtol=1e-14)
-
-
 def _shifted_root(domain: Domain, weight: np.ndarray, shift: float, label: str) -> EigenPair:
-    """Root s of beta(s) - shift * s, with beta(s) the smallest eigenvalue of
-    DtN_s - M_weight (decreasing in s), and its boundary-L2 eigenfunction."""
+    """Root s of f(s) = beta(s) - shift * s, with beta(s) the smallest eigenvalue of
+    DtN_s - M_weight (decreasing in s), and its boundary-L2 eigenfunction.
+
+    Newton's method from s = 0 with the Hellmann-Feynman slope
+    f'(s) = v.L'_s v / v.v - shift (v the eigenvector of beta(s)), kept in
+    a sign-change bracket (rtsafe, Numerical Recipes 9.4): an iterate
+    outside the bracket is replaced by its midpoint.  A step that fails to
+    halve the one before is doubled, past the predicted root: Newton has
+    met beta's round-off (about 1.5e-14 in s at m = 128, above the step
+    tolerance) or is converging slowly, and either way the bracket then
+    closes in on the root from both sides.  Until f has been seen
+    positive (negative), the bracket ends at the floor -1e12 (the
+    Dirichlet guard) and an iterate beyond that end evaluates the end
+    itself.  A non-finite value or slope raises instead of steering the
+    search.
+    """
     s_max = first_dirichlet_eigenvalue(domain) - 2 * DIRICHLET_GUARD
-
-    def beta(s: float) -> float:
-        return _beta_smallest(domain, s, weight)[0] - shift * s
-
-    root = _root_find_decreasing(beta, s_max, label)
-    _, vec = _beta_smallest(domain, root, weight)
+    lo, hi = _S_FLOOR, s_max
+    lo_seen = hi_seen = False  # f(lo) > 0, f(hi) < 0 evaluated
+    s, last_step = 0.0, math.inf
+    for _ in range(_MAX_ROOT_STEPS):
+        beta, vec = _beta_smallest(domain, s, weight)
+        f = beta - shift * s
+        slope = dtn_slope_form(domain, s, vec) / float(vec @ vec) - shift
+        if not (math.isfinite(f) and math.isfinite(slope)):
+            raise RootNotBracketed(f"{label}: non-finite value {f} or slope {slope} at s={s}")
+        if f == 0.0:
+            break
+        if f > 0.0:
+            if s == s_max:
+                raise RootNotBracketed(f"{label}: no sign change below the Dirichlet guard")
+            lo, lo_seen = s, True
+        else:
+            if s == _S_FLOOR:
+                raise RootNotBracketed(f"{label}: no sign change down to {s}")
+            hi, hi_seen = s, True
+        step = f / slope if slope < 0.0 else (s - hi if f > 0.0 else s - lo)
+        tol = 1e-14 + 4.0 * np.finfo(float).eps * abs(s)  # brentq's xtol and rtol
+        if abs(step) <= tol:
+            break
+        new = s - step
+        if not (lo_seen and hi_seen):
+            new = min(max(new, lo), hi)
+        elif lo < new < hi and abs(step) > 0.5 * abs(last_step):
+            new = s - 2.0 * step
+        if lo_seen and hi_seen and not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - s) <= tol:
+            break
+        s, last_step = new, new - s
+    else:
+        raise RootNotBracketed(f"{label}: no convergence in {_MAX_ROOT_STEPS} steps")
     func = _boundary_l2_normalize(domain, vec)
-    shifted = weight + shift * root
-    defect = dtn_matrix(domain, root) @ func - domain.weights * shifted * func
-    return _checked_pair(domain, root, func, defect, shifted, "boundary-L2", label)
+    shifted = weight + shift * s
+    defect = dtn_matrix(domain, s) @ func - domain.weights * shifted * func
+    return _checked_pair(domain, s, func, defect, shifted, "boundary-L2", label)
 
 
 def sigma1(domain: Domain, g, lam: float) -> EigenPair:
@@ -231,14 +240,14 @@ def weighted_steklov_spectrum(domain: Domain, g, lam: float, w, p: float) -> MuS
     """All real eigenvalues mu of (Lambda - lambda M_g) phi = mu M_{g w^(p-1)} phi.
 
     For lambda in (0, lambda_1(g)) the left side A is positive definite
-    and the pencil is reduced symmetrically through A^(1/2); at lambda = 0
+    and the pencil is reduced symmetrically through its eigenvectors; at lambda = 0
     A is only semidefinite (kernel = constants) and QZ is used instead.
     mu = 1 is always present at a solution, with eigenfunction w.
     """
     gv = as_values(domain, g)
     wv = as_values(domain, w)
     a = dtn_matrix(domain) - np.diag(domain.weights * lam * gv)
-    b = np.diag(domain.weights * gv * np.abs(wv) ** (p - 1.0))
+    b = domain.weights * gv * np.abs(wv) ** (p - 1.0)  # diagonal of M_{g w^(p-1)}
     evals, evecs = np.linalg.eigh(a)
     scale = max(abs(evals[0]), abs(evals[-1]), 1.0)
     if evals[0] < -1e-10 * scale:
@@ -246,19 +255,23 @@ def weighted_steklov_spectrum(domain: Domain, g, lam: float, w, p: float) -> MuS
             f"Lambda - lambda M_g has eigenvalue {evals[0]}; lambda outside (0, lambda_1)"
         )
     if evals[0] > 1e-10 * scale:
-        # symmetric reduction: eigenvalues of A^(-1/2) B A^(-1/2) are 1/mu
-        isqrt = evecs @ np.diag(evals ** -0.5) @ evecs.T
-        nus, psis = np.linalg.eigh(isqrt @ b @ isqrt)
+        # symmetric reduction through S = V diag(evals)^(-1/2), S^T A S = I:
+        # the eigenvalues of S^T B S are 1/mu, with eigenfunctions S psi
+        red = evecs * evals ** -0.5
+        nus, psis = np.linalg.eigh(red.T @ (b[:, None] * red))
         keep = np.abs(nus) > 1e-12
         mus = 1.0 / nus[keep]
-        funcs = isqrt @ psis[:, keep]
+        funcs = red @ psis[:, keep]
     else:
-        mus, funcs = _real_pencil_eigs(a, b)
+        mus, funcs = _real_pencil_eigs(a, np.diag(b))
     order = np.argsort(mus)
     mus = mus[order]
     funcs = funcs[:, order]
-    funcs = np.column_stack([_boundary_l2_normalize(domain, f) for f in funcs.T])
-    principal = np.array([_is_one_signed(f) for f in funcs.T])
+    # boundary-L2 normalize every column and make its largest entry positive
+    funcs = funcs / np.sqrt(domain.weights @ funcs ** 2)
+    peaks = funcs[np.argmax(np.abs(funcs), axis=0), np.arange(funcs.shape[1])]
+    funcs = np.where(peaks < 0.0, -funcs, funcs)
+    principal = np.all(funcs > 0.0, axis=0)
 
     positive = mus[mus > 1e-12]
     mu1_plus = float(positive[0]) if len(positive) else math.nan

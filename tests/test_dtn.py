@@ -1,14 +1,19 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from indefbc.domain import build_domain
 from indefbc.dtn import (
     DIRICHLET_GUARD,
+    _disk_multipliers,
+    _interval_entries,
     assemble_dtn,
     assemble_helmholtz_dtn,
     dirichlet_energy,
     dtn_matrix,
+    dtn_slope_form,
     first_dirichlet_eigenvalue,
 )
 from indefbc.errors import SpectralParameterOutOfRange
@@ -32,6 +37,47 @@ def test_interval_helmholtz_closed_form(interval):
     expect = (t / np.sinh(t)) * np.array([[np.cosh(t), -1.0],
                                           [-1.0, np.cosh(t)]])
     assert np.allclose(op.matrix, expect, atol=1e-13)
+
+
+def test_interval_matrix_finite_far_below_zero(interval):
+    """t cosh t / sinh t overflows to inf/inf for t > 710; the matrix must not."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mat = assemble_helmholtz_dtn(interval, -1e7).matrix
+    assert np.all(np.isfinite(mat))
+    assert np.isclose(mat[0, 0], np.sqrt(1e7), rtol=1e-14) and mat[0, 1] == 0.0
+
+
+_SLOPE_POINTS = (-5.0, -1e-6, 0.0, 1e-6, 0.7, 5.0)
+
+
+def test_symbol_slope_matches_central_differences():
+    """The recurrence's slope (disk, per mode) and the closed-form or series
+    slopes (interval entries) against central differences of the symbol."""
+    h = 1e-5
+    for m in (16, 128):
+        for s in _SLOPE_POINTS:
+            slope = _disk_multipliers(m, s)[1]
+            diff = (_disk_multipliers(m, s + h)[0] - _disk_multipliers(m, s - h)[0]) / (2 * h)
+            assert np.allclose(slope, diff, rtol=1e-7, atol=1e-8)
+    for s in _SLOPE_POINTS:
+        slope = np.array(_interval_entries(s)[2:])
+        diff = (np.array(_interval_entries(s + h)[:2])
+                - np.array(_interval_entries(s - h)[:2])) / (2 * h)
+        assert np.allclose(slope, diff, rtol=1e-7, atol=1e-8)
+
+
+def test_slope_form_is_derivative_of_quadratic_form(interval):
+    """dtn_slope_form(v) = d/ds of v.L_s v, L_s the matrix with Q removed."""
+    rng = np.random.default_rng(3)
+    h = 1e-5
+    for dom in (interval, build_domain("unit-disk", 16), build_domain("unit-disk", 128)):
+        v = rng.normal(size=dom.m)
+        for s in _SLOPE_POINTS:
+            plus = assemble_helmholtz_dtn(dom, s + h).matrix / dom.weights[:, None]
+            minus = assemble_helmholtz_dtn(dom, s - h).matrix / dom.weights[:, None]
+            diff = float(v @ (plus - minus) @ v) / (2 * h)
+            assert abs(dtn_slope_form(dom, s, v) - diff) < 1e-7 * (1.0 + abs(diff))
 
 
 def test_disk_normal_derivative_is_mode_multiplier(disk16):

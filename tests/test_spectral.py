@@ -2,12 +2,21 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import indefbc.solve
 import indefbc.spectral
-from indefbc.dtn import dirichlet_energy, assemble_dtn, dtn_matrix
+from indefbc.continuation import StepOptions, continue_branch
+from indefbc.dtn import (
+    DIRICHLET_GUARD,
+    assemble_dtn,
+    dirichlet_energy,
+    dtn_matrix,
+    first_dirichlet_eigenvalue,
+)
 from indefbc.domain import build_domain, harmonic_extension_eval, volume_l2_norm_sq
 from indefbc.errors import PencilNotPositiveDefinite, ResidualAboveTolerance, RootNotBracketed
 from indefbc.problem import ProblemSpec, residual_jacobian
@@ -146,6 +155,88 @@ def test_sigma1_raises_on_wrong_eigenvector(disk16, monkeypatch):
         sigma1(disk16, g, lam)
 
 
+def test_root_search_guards_raise(interval, disk16):
+    """No sign change below the Dirichlet guard (weight -1e9) or above the
+    floor -1e12 (weight 1e13, root near -1e26) raises RootNotBracketed."""
+    for dom in (interval, disk16):
+        g = np.full(dom.m, -1.0)
+        for lam in (1e9, -1e13):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(RootNotBracketed):
+                    sigma1(dom, g, lam)
+
+
+def _brentq_root(domain, weight, shift):
+    """Reference root of beta(s) - shift * s: scipy's brentq on a doubling bracket."""
+    from scipy.optimize import brentq
+
+    def f(s):
+        return indefbc.spectral._beta_smallest(domain, s, weight)[0] - shift * s
+
+    s_max = first_dirichlet_eigenvalue(domain) - 2 * DIRICHLET_GUARD
+    lo, hi = -1e-3, 1e-3
+    while f(lo) < 0.0:
+        lo *= 2.0
+    while f(hi) > 0.0:
+        hi = min(2.0 * hi, s_max)
+    return brentq(f, lo, hi, xtol=1e-14)
+
+
+def _disk_branch_states(ms):
+    """(domain, g, lambda, w) at lambda = 0.3 lambda_1 on the positive disk
+    branch, for each m: the m = 16 branch point, interpolated to m and
+    corrected there by Newton."""
+    dom16 = build_domain("unit-disk", 16)
+    branch = continue_branch(ProblemSpec(dom16, 2.0, sign_changing_disk_weight(dom16)),
+                             options=StepOptions(with_gamma1=False))
+    lam = 0.3 * branch.bifurcation_lambda
+    coeffs = np.fft.rfft(branch.at_lambda(lam, with_gamma1=False).w)[:8]
+    states = []
+    for m in ms:
+        dom = build_domain("unit-disk", m)
+        spec = ProblemSpec(dom, 2.0, sign_changing_disk_weight(dom))
+        init = np.fft.irfft(coeffs, n=m) * (m / 16)
+        states.append((dom, spec.g, lam, newton_solve(spec, lam, init, with_gamma1=False).w))
+    return states
+
+
+def test_shifted_roots_match_brentq_reference(interval):
+    """sigma_1 at lambda_1/2 (root > 0) and 1.5 lambda_1 (root < 0), and gamma_1
+    at a branch point (root < 0), against brentq on the same beta(s)."""
+    g1 = np.array([1.0, -4.0])
+    states = [(interval, g1, 0.0, _interval_solution(interval, g1, 0.0).w)]
+    states += _disk_branch_states((16, 128, 256))
+    for dom, g, lam, w in states:
+        lam1 = principal_eigenvalue(dom, g).value
+        for factor in (0.5, 1.5):
+            expected = _brentq_root(dom, factor * lam1 * g, 0.0)
+            assert abs(sigma1(dom, g, factor * lam1).value - expected) <= 1e-13
+        expected = _brentq_root(dom, lam * g + 2.0 * g * w, 1.0)
+        assert expected < 0.0
+        assert abs(gamma1(dom, g, lam, w, 2.0).value - expected) <= 1e-13
+
+
+def test_disk_branch_needs_few_beta_evaluations_per_gamma1(monkeypatch):
+    counts = {"beta": 0, "gamma1": 0}
+    beta, gam = indefbc.spectral._beta_smallest, indefbc.solve._gamma1
+
+    def counted_beta(*args):
+        counts["beta"] += 1
+        return beta(*args)
+
+    def counted_gamma1(*args, **kwargs):
+        counts["gamma1"] += 1
+        return gam(*args, **kwargs)
+
+    monkeypatch.setattr(indefbc.spectral, "_beta_smallest", counted_beta)
+    monkeypatch.setattr(indefbc.solve, "_gamma1", counted_gamma1)
+    dom = build_domain("unit-disk", 128)
+    continue_branch(ProblemSpec(dom, 2.0, sign_changing_disk_weight(dom)))
+    assert counts["gamma1"] >= 10
+    assert counts["beta"] <= 6 * counts["gamma1"]
+
+
 def test_disk_eigenvalues_converge_in_m():
     """lambda_1, sigma_1(lambda_1/2) and gamma_1 at a fixed trace do not drift with m.
 
@@ -168,7 +259,8 @@ def test_disk_eigenvalues_converge_in_m():
 
 
 def test_import_defers_scipy_optimize_and_special():
-    """``import indefbc`` stays cheap: root finding imports scipy.optimize lazily."""
+    """``import indefbc`` stays cheap: the package imports neither scipy.optimize
+    (the sigma_1/gamma_1 root finder is its own Newton iteration) nor scipy.special."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(indefbc.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -288,6 +380,56 @@ def test_mu_gap_at_p_matches_jacobian_regularity(disk16):
         smallest_sv = float(np.linalg.svd(
             residual_jacobian(spec, point.lam, point.w), compute_uv=False)[-1])
         assert (gap > 1e-6) == (smallest_sv > 1e-8)
+
+
+def _mu_spectrum_reference(domain, g, lam, w, p):
+    """The mu-spectrum through A^(-1/2), normalized, sign-fixed and flagged column by column."""
+    a = dtn_matrix(domain) - np.diag(domain.weights * lam * g)
+    b = np.diag(domain.weights * g * np.abs(w) ** (p - 1.0))
+    evals, evecs = np.linalg.eigh(a)
+    isqrt = evecs @ np.diag(evals ** -0.5) @ evecs.T
+    nus, psis = np.linalg.eigh(isqrt @ b @ isqrt)
+    keep = np.abs(nus) > 1e-12
+    mus, funcs = 1.0 / nus[keep], isqrt @ psis[:, keep]
+    order = np.argsort(mus)
+    cols, flags = [], []
+    for f in funcs[:, order].T:
+        f = f / math.sqrt(float(domain.weights @ (f * f)))
+        i = int(np.argmax(np.abs(f)))
+        f = -f if f[i] < 0 else f
+        cols.append(f)
+        flags.append(bool(np.all(f > 0) or np.all(f < 0)))
+    return mus[order], np.column_stack(cols), np.array(flags), a, b
+
+
+def test_mu_spectrum_matches_per_column_reference():
+    """Against the per-column reference at disk m = 64 branch points.
+
+    The reduction differs, so values agree to round-off: mu to 1e-10
+    relative, and columns of eigenvalues 1e-3 apart (relative) to 1e-9 up
+    to sign, since antisymmetric columns tie for the largest |entry| and
+    round-off picks their sign in either code.  Each column must solve its
+    pencil and carry the reference's one-signed flag.
+    """
+    dom = build_domain("unit-disk", 64)
+    g = sign_changing_disk_weight(dom)
+    branch = continue_branch(ProblemSpec(dom, 2.0, g), options=StepOptions(with_gamma1=False))
+    for frac in (0.05, 0.3, 0.6, 0.9):
+        point = branch.at_lambda(frac * branch.bifurcation_lambda, with_gamma1=False)
+        spec = weighted_steklov_spectrum(dom, g, point.lam, point.w, 2.0)
+        mus, funcs, flags, a, b = _mu_spectrum_reference(dom, g, point.lam, point.w, 2.0)
+        assert np.allclose(spec.mu_values, mus, rtol=1e-10, atol=0.0)
+        assert np.array_equal(spec.principal, flags) and flags.sum() >= 1
+        near = np.abs(np.diff(mus)) <= 1e-3 * np.abs(mus[1:])
+        apart = ~(np.append(near, False) | np.insert(near, 0, False))
+        got = spec.eigenfunctions
+        off = np.minimum(np.abs(got - funcs).max(axis=0), np.abs(got + funcs).max(axis=0))
+        assert apart.sum() >= 40 and np.all(off[apart] <= 1e-9)
+        assert np.allclose(dom.weights @ got ** 2, 1.0, rtol=1e-12)
+        assert np.all(got.max(axis=0) >= -got.min(axis=0) - 1e-12)  # largest |entry| positive
+        defect = a @ got - (b @ got) * spec.mu_values
+        scale = np.linalg.norm(a, 2) + np.abs(spec.mu_values) * np.linalg.norm(b, 2)
+        assert np.all(np.linalg.norm(defect, axis=0) <= 1e-11 * scale * np.linalg.norm(got, axis=0))
 
 
 def test_m_delta_infinite_on_interval(interval):
