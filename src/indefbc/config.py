@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,18 +59,23 @@ class RunConfig:
         if terms_text is None:
             raise ConfigError(f"[problem] {name}_terms is required for the disk")
         terms = []
+        terms_key = f"{name}_terms"
         for chunk in _split_items(terms_text):
             parts = chunk.split(":")
             if len(parts) != 3:
-                raise ConfigError(f"bad term {chunk!r} in {name}_terms")
-            terms.append((int(parts[0]), float(parts[1]), float(parts[2])))
+                raise ConfigError(f"bad term {chunk!r} in {terms_key}")
+            terms.append((_number(parts[0], terms_key, int), _number(parts[1], terms_key),
+                          _number(parts[2], terms_key)))
         plateaus = []
         for chunk in _split_items(section.get(f"{name}_plateaus", "")):
             parts = chunk.split(":")
             if len(parts) != 2:
                 raise ConfigError(f"bad interval {chunk!r} in {name}_plateaus")
-            plateaus.append((float(parts[0]), float(parts[1])))
-        width = float(section.get(f"{name}_transition_width", "0.05"))
+            plateaus.append(tuple(_number(part, f"{name}_plateaus") for part in parts))
+        width_key = f"{name}_transition_width"
+        width = _number(section.get(width_key, "0.05"), width_key)
+        if not width > 0.0:
+            raise ConfigError(f"{width_key} must be positive, got {width}")
         return trig_weight(domain, terms, plateaus, width)
 
     def build_spec(self, domain: Domain) -> ProblemSpec:
@@ -84,11 +90,19 @@ def _split_items(text: str):
     return [chunk.strip() for chunk in text.split(";") if chunk.strip()]
 
 
-def _parse_floats(text: str, label: str):
+def _number(text: str, label: str, kind=float):
+    """One finite number of type ``kind``; ConfigError if malformed or non-finite."""
     try:
-        return [float(v) for v in text.replace(",", " ").split()]
+        value = kind(text)
     except ValueError as exc:
         raise ConfigError(f"bad number in {label}: {exc}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{label} must be finite, got {text.strip()!r}")
+    return value
+
+
+def _parse_floats(text: str, label: str):
+    return [_number(v, label) for v in text.replace(",", " ").split()]
 
 
 def _get(parser, section, key, default=None):
@@ -107,13 +121,13 @@ def config_from_dict(raw: dict) -> RunConfig:
     try:
         kind = _get(parser, "domain", "kind", INTERVAL)
         m = int(_get(parser, "domain", "m", "2"))
-        p = float(_get(parser, "problem", "p", "2.0"))
+        p = _number(_get(parser, "problem", "p", "2.0"), "p")
         form = _get(parser, "problem", "form", W_FORM)
         window = _parse_floats(_get(parser, "lambda", "window", "0.001, 0.1"), "window")
         samples = int(_get(parser, "lambda", "samples", "5"))
         deltas = tuple(_parse_floats(_get(parser, "sweep", "deltas", ""), "deltas"))
-        step_min = float(_get(parser, "tolerances", "step_min", "1e-10"))
-        step_max = float(_get(parser, "tolerances", "step_max", "0.2"))
+        step_min = _number(_get(parser, "tolerances", "step_min", "1e-10"), "step_min")
+        step_max = _number(_get(parser, "tolerances", "step_max", "0.2"), "step_max")
         seed = int(_get(parser, "run", "seed", "0"))
         out_dir = _get(parser, "run", "out_dir", ".")
         n_inits = int(_get(parser, "run", "n_inits", "64"))

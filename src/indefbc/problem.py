@@ -41,7 +41,7 @@ class ProblemSpec:
     def __post_init__(self):
         if self.form not in _FORMS:
             raise ShapeMismatch(f"unknown problem form {self.form!r}")
-        if self.p <= 1.0:
+        if not self.p > 1.0:
             raise ShapeMismatch(f"exponent p={self.p} must exceed 1")
         n = _DIMENSION[self.domain.kind]
         if n > 2 and self.p >= n / (n - 2):

@@ -74,10 +74,6 @@ def _boundary_l2_normalize(domain: Domain, v: np.ndarray) -> np.ndarray:
     return _fix_sign(v / norm)
 
 
-def _is_one_signed(v: np.ndarray) -> bool:
-    return bool(np.all(v > 0) or np.all(v < 0))
-
-
 def _checked_pair(domain: Domain, value: float, func: np.ndarray, defect: np.ndarray,
                   weight: np.ndarray, normalization: str, label: str) -> EigenPair:
     """EigenPair with residual |defect|; raises if it is non-finite or above the bound."""
@@ -105,44 +101,44 @@ def nonnegative_integral(domain: Domain, g) -> bool:
     return boundary_integral(domain, gv) >= -1e-12 * boundary_integral(domain, np.abs(gv))
 
 
-def _steklov_pencil(domain: Domain, gv: np.ndarray):
-    """Finite real eigenpairs of Lambda phi = lambda M_g phi, less lambda = 0.
-
-    lambda = 0 (constants) is always present, moved off 0 by round-off
-    that grows with m (2e-12 at m = 512): drop the least |lambda|.
-    """
-    mus, funcs = _real_pencil_eigs(dtn_matrix(domain), np.diag(domain.weights * gv))
-    keep = np.abs(mus) > np.min(np.abs(mus), initial=np.inf)
-    return mus[keep], funcs[:, keep]
-
-
 def principal_eigenvalue(domain: Domain, g) -> EigenPair:
-    """Positive principal eigenvalue lambda_1(g) of the linear pencil.
+    """Positive principal eigenvalue lambda_1(g) of Lambda phi = lambda M_g phi.
 
-    Solves Lambda phi = lambda M_g phi.  When the boundary integral of g
-    is nonnegative there is no positive principal eigenvalue and the pair
-    (0, constant) is returned.
+    (0, constant) when the boundary integral of g is nonnegative.  Otherwise
+    the positive root of beta_0(lambda), the smallest eigenvalue of
+    (Lambda - lambda M_g)/q: concave, beta_0(0) = 0 < beta_0'(0) = -mean(g).
+    Newton (slope -sum g v^2, v the unit eigenvector) descends to it from the
+    Rayleigh bound of the indicator of {g > 0}, where beta_0 <= 0.  beta_0 is
+    v's Rayleigh quotient, with Lambda's form on v - v_0 where that is exact
+    (Lambda annihilates constants): eigh's eigenvalue, or the form of a nearly
+    constant v, errs by eps |Lambda|, moving the root by eps |Lambda| / mean(g)^2.
+    No positive entry in g, or a root eigenvector that changes sign, raises.
     """
     gv = as_values(domain, g)
     if nonnegative_integral(domain, gv):
         const = np.ones(domain.m)
         func = _h1_normalize(domain, const)
         return EigenPair(0.0, BoundaryFunction(domain, func), "H1", 0.0)
-    mus, funcs = _steklov_pencil(domain, gv)
-    for lam, vec in zip(mus, funcs.T):
-        if lam > 0.0 and _is_one_signed(_fix_sign(vec)):
-            func = _h1_normalize(domain, vec)
-            weight = lam * gv
-            defect = dtn_matrix(domain) @ func - domain.weights * weight * func
-            return _checked_pair(domain, lam, func, defect, weight, "H1", "lambda1")
-    raise RootNotBracketed("no positive principal eigenvalue found in the pencil")
+    phi = (gv > 0.0).astype(float)
+    if not phi.any():
+        raise RootNotBracketed("lambda1: g has no positive entry")
+    lap, q = dtn_matrix(domain), domain.weights[0]
+    bound = float(phi @ lap @ phi) / (q * float(gv @ phi))
 
+    def evaluate(lam):
+        vec = _beta_smallest(domain, 0.0, lam * gv)[1]
+        w = vec - vec[0]  # exact (Sterbenz) where v is within a factor 2 of v_0
+        if not np.all(np.abs(w) <= 0.5 * abs(vec[0])):
+            w = vec
+        gvv = float(gv @ vec ** 2)
+        return float(w @ lap @ w) / q - lam * gvv, -gvv, vec
 
-def second_positive_pencil_eigenvalue(domain: Domain, g) -> float:
-    """Second-smallest positive eigenvalue of the lambda_1 pencil (simplicity probe)."""
-    mus, _ = _steklov_pencil(domain, as_values(domain, g))
-    positive = np.sort(mus[mus > 0.0])
-    return float(positive[1]) if len(positive) >= 2 else math.inf
+    lam, vec = _newton_root(evaluate, bound, 0.0, bound, "lambda1")
+    func = _h1_normalize(domain, vec)
+    if not np.all(func > 0.0):
+        raise RootNotBracketed(f"lambda1: the eigenvector at {lam} changes sign")
+    defect = lap @ func - domain.weights * lam * gv * func
+    return _checked_pair(domain, lam, func, defect, lam * gv, "H1", "lambda1")
 
 
 def _beta_smallest(domain: Domain, s: float,
@@ -154,59 +150,63 @@ def _beta_smallest(domain: Domain, s: float,
     return float(vals[0]), vecs[:, 0]
 
 
-def _shifted_root(domain: Domain, weight: np.ndarray, shift: float, label: str) -> EigenPair:
-    """Root s of f(s) = beta(s) - shift * s, with beta(s) the smallest eigenvalue of
-    DtN_s - M_weight (decreasing in s), and its boundary-L2 eigenfunction.
+def _newton_root(evaluate, x: float, lo: float, hi: float, label: str):
+    """Root in [lo, hi] of f, positive below it and negative above, and the
+    vector of the last evaluation; ``evaluate(x)`` gives (f(x), f'(x), vector).
 
-    Newton's method from s = 0 with the Hellmann-Feynman slope
-    f'(s) = v.L'_s v / v.v - shift (v the eigenvector of beta(s)), kept in
-    a sign-change bracket (rtsafe, Numerical Recipes 9.4): an iterate
-    outside the bracket is replaced by its midpoint.  A step that fails to
-    halve the one before is doubled, past the predicted root: Newton has
-    met beta's round-off (about 1.5e-14 in s at m = 128, above the step
-    tolerance) or is converging slowly, and either way the bracket then
-    closes in on the root from both sides.  Until f has been seen
-    positive (negative), the bracket ends at the floor -1e12 (the
-    Dirichlet guard) and an iterate beyond that end evaluates the end
-    itself.  A non-finite value or slope raises instead of steering the
-    search.
+    Newton's method from x, kept in a sign-change bracket (rtsafe, Numerical
+    Recipes 9.4): an iterate outside it is replaced by its midpoint, and a
+    step that fails to halve the one before is doubled, past the predicted
+    root (Newton has met f's round-off, about 1.5e-14 in s for beta at
+    m = 128, or converges slowly), so the bracket closes in from both sides.
+    Until f has been seen positive (negative), an iterate beyond lo (hi)
+    evaluates that end; f <= 0 at lo, f > 0 at hi, or a non-finite value or
+    slope raises, so no end is returned.
     """
-    s_max = first_dirichlet_eigenvalue(domain) - 2 * DIRICHLET_GUARD
-    lo, hi = _S_FLOOR, s_max
     lo_seen = hi_seen = False  # f(lo) > 0, f(hi) < 0 evaluated
-    s, last_step = 0.0, math.inf
+    last_step = math.inf
     for _ in range(_MAX_ROOT_STEPS):
-        beta, vec = _beta_smallest(domain, s, weight)
-        f = beta - shift * s
-        slope = dtn_slope_form(domain, s, vec) / float(vec @ vec) - shift
+        f, slope, vec = evaluate(x)
         if not (math.isfinite(f) and math.isfinite(slope)):
-            raise RootNotBracketed(f"{label}: non-finite value {f} or slope {slope} at s={s}")
-        if f == 0.0:
-            break
+            raise RootNotBracketed(f"{label}: non-finite value {f} or slope {slope} at {x}")
         if f > 0.0:
-            if s == s_max:
-                raise RootNotBracketed(f"{label}: no sign change below the Dirichlet guard")
-            lo, lo_seen = s, True
+            if x == hi:
+                raise RootNotBracketed(f"{label}: no sign change below {x}")
+            lo, lo_seen = x, True
         else:
-            if s == _S_FLOOR:
-                raise RootNotBracketed(f"{label}: no sign change down to {s}")
-            hi, hi_seen = s, True
-        step = f / slope if slope < 0.0 else (s - hi if f > 0.0 else s - lo)
-        tol = 1e-14 + 4.0 * np.finfo(float).eps * abs(s)  # brentq's xtol and rtol
+            if x == lo:
+                raise RootNotBracketed(f"{label}: no sign change above {x}")
+            if f == 0.0:
+                break
+            hi, hi_seen = x, True
+        step = f / slope if slope < 0.0 else (x - hi if f > 0.0 else x - lo)
+        tol = 1e-14 + 4.0 * np.finfo(float).eps * abs(x)  # brentq's xtol and rtol
         if abs(step) <= tol:
             break
-        new = s - step
+        new = x - step
         if not (lo_seen and hi_seen):
             new = min(max(new, lo), hi)
         elif lo < new < hi and abs(step) > 0.5 * abs(last_step):
-            new = s - 2.0 * step
+            new = x - 2.0 * step
         if lo_seen and hi_seen and not lo < new < hi:
             new = 0.5 * (lo + hi)
-        if abs(new - s) <= tol:
+        if abs(new - x) <= tol:
             break
-        s, last_step = new, new - s
+        x, last_step = new, new - x
     else:
         raise RootNotBracketed(f"{label}: no convergence in {_MAX_ROOT_STEPS} steps")
+    return x, vec
+
+
+def _shifted_root(domain: Domain, weight: np.ndarray, shift: float, label: str) -> EigenPair:
+    """Root s of beta(s) - shift * s, beta(s) the smallest eigenvalue of DtN_s - M_weight
+    (decreasing in s, slope v.L'_s v / v.v), and its boundary-L2 eigenfunction."""
+    def evaluate(s):
+        beta, vec = _beta_smallest(domain, s, weight)
+        return beta - shift * s, dtn_slope_form(domain, s, vec) / float(vec @ vec) - shift, vec
+
+    s_max = first_dirichlet_eigenvalue(domain) - 2 * DIRICHLET_GUARD
+    s, vec = _newton_root(evaluate, 0.0, _S_FLOOR, s_max, label)
     func = _boundary_l2_normalize(domain, vec)
     shifted = weight + shift * s
     defect = dtn_matrix(domain, s) @ func - domain.weights * shifted * func

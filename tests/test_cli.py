@@ -1,11 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from indefbc.cli import CSV_HEADER, main
 from indefbc.config import config_from_dict, config_to_ini, load_config
-from indefbc.errors import ConfigError
+from indefbc.domain import build_domain
+from indefbc.errors import ConfigError, ShapeMismatch
+from indefbc.problem import ProblemSpec
 
 INTERVAL_INI = """\
 [domain]
@@ -152,6 +155,11 @@ def test_exit_codes(tmp_path, capsys):
     nobranch = INTERVAL_INI.replace("g = 1.0, -4.0", "g = 2.0, -1.0")
     assert main(["branch", "--config", _write(tmp_path, nobranch, "nb.ini"),
                  "--out", str(tmp_path)]) == 3
+    # 2: a malformed weight term, found only when the command builds the weight
+    badterm = ("[domain]\nkind = unit-disk\nm = 16\n\n"
+               "[problem]\np = 2.0\ng_terms = x:1:0\n")
+    assert main(["branch", "--config", _write(tmp_path, badterm, "badterm.ini"),
+                 "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "solver error" in err
 
@@ -163,6 +171,22 @@ def test_config_validation_messages(tmp_path):
         config_from_dict({"tolerances": {"step_min": "-1"}})
     with pytest.raises(ConfigError):
         config_from_dict({"domain": {"kind": "triangle"}})
+    for section, key, value in (("tolerances", "step_min", "nan"), ("problem", "p", "nan"),
+                                ("tolerances", "step_max", "inf"), ("lambda", "window", "0, nan")):
+        with pytest.raises(ConfigError):
+            config_from_dict({section: {key: value}})
+    interval = config_from_dict({"problem": {"g": "nan, -4"}})
+    with pytest.raises(ConfigError):
+        interval.build_weight(interval.build_domain(), "g")
+    for key, value in (("g_terms", "x:1:0"), ("g_terms", "1:nan:0"),
+                       ("g_plateaus", "0:inf"), ("g_transition_width", "nan"),
+                       ("g_transition_width", "0")):
+        disk = config_from_dict({"domain": {"kind": "unit-disk", "m": "16"},
+                                 "problem": {"g_terms": "1:1:0; 0:-0.3:0", key: value}})
+        with pytest.raises(ConfigError):
+            disk.build_weight(disk.build_domain(), "g")
+    with pytest.raises(ShapeMismatch):
+        ProblemSpec(build_domain("interval", 2), math.nan, np.array([1.0, -4.0]))
     cfg = load_config(_write(tmp_path, INTERVAL_INI))
     assert cfg.lam_window == (0.05, 0.7)
     assert cfg.n_inits == 8

@@ -3,7 +3,9 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,7 +27,6 @@ from indefbc.spectral import (
     gamma1,
     m_delta,
     principal_eigenvalue,
-    second_positive_pencil_eigenvalue,
     sigma1,
     weighted_steklov_spectrum,
 )
@@ -69,15 +70,124 @@ def test_principal_eigenfunction_h1_normalized(disk16):
     assert pair.residual < 1e-8 * (1.0 + abs(pair.value))
 
 
+def _qz_positive_eigenvalues(domain, g):
+    """Positive eigenvalues of Lambda phi = lambda M_g phi by a full QZ, ascending,
+    and whether each eigenvector is one-signed (the first such one is lambda_1).
+
+    The reference for the bracketed Newton root.  The constants' lambda = 0 is
+    moved off 0 by round-off that grows with m (2e-12 at m = 512), so the
+    least |lambda| is dropped.
+    """
+    mus, funcs = indefbc.spectral._real_pencil_eigs(dtn_matrix(domain),
+                                                     np.diag(domain.weights * g))
+    keep = (mus > 0.0) & (np.abs(mus) > np.min(np.abs(mus)))
+    return mus[keep], np.all(funcs[:, keep] > 0, axis=0) | np.all(funcs[:, keep] < 0, axis=0)
+
+
+def _qz_second_positive(domain, g):
+    positive = _qz_positive_eigenvalues(domain, g)[0]
+    return float(positive[1]) if len(positive) >= 2 else math.inf
+
+
 def test_principal_eigenvalue_is_simple(interval, disk16):
     rng = np.random.default_rng(12)
     for _ in range(5):
         g = random_interval_weight(rng)
         lam1 = principal_eigenvalue(interval, g).value
-        assert second_positive_pencil_eigenvalue(interval, g) - lam1 > 1e-6
+        assert _qz_second_positive(interval, g) - lam1 > 1e-6
     g = sign_changing_disk_weight(disk16)
     lam1 = principal_eigenvalue(disk16, g).value
-    assert second_positive_pencil_eigenvalue(disk16, g) - lam1 > 1e-6
+    assert _qz_second_positive(disk16, g) - lam1 > 1e-6
+
+
+def _two_bump_weight(domain):
+    """cos 2 theta where it is positive, 20 cos 2 theta where it is negative."""
+    c2 = np.cos(2.0 * domain.nodes)
+    return np.where(c2 > 0.0, c2, 20.0 * c2)
+
+
+def test_principal_eigenvalue_matches_qz_reference(disk16):
+    for dom in (disk16, build_domain("unit-disk", 128), build_domain("unit-disk", 256)):
+        for g in (sign_changing_disk_weight(dom), _two_bump_weight(dom)):
+            lam1 = principal_eigenvalue(dom, g).value
+            mus, one_signed = _qz_positive_eigenvalues(dom, g)
+            assert abs(lam1 - mus[one_signed][0]) <= 1e-12 * (1.0 + lam1)
+
+
+def _mp_disk_lambda1(domain, g):
+    """lambda_1 of the disk pencil at 40 digits: the least positive eigenvalue of
+    M_g^-1 L, with L the circulant of the symbol |n| (n = m/2 for the Nyquist
+    mode) built in mpmath, and g the given floats taken exactly."""
+    m = domain.m
+    with mpmath.workdps(40):
+        col = [(2 * mpmath.fsum(n * mpmath.cospi(mpmath.mpf(2 * n * k) / m)
+                                for n in range(1, m // 2)) + (m // 2) * mpmath.cospi(k)) / m
+               for k in range(m)]
+        a = mpmath.matrix(m, m)
+        for j in range(m):
+            for k in range(m):
+                a[j, k] = col[(j - k) % m] / mpmath.mpf(float(g[j]))
+        vals = mpmath.eig(a, left=False, right=False)
+        tiny = mpmath.mpf(10) ** -20
+        return min(v.real for v in vals if abs(v.imag) < tiny and v.real > tiny)
+
+
+def test_principal_eigenvalue_matches_exact_references(interval):
+    """Relative error against the interval closed form in exact rationals and a
+    40-digit disk reference for g = cos theta - eps, whose mean -eps sends the
+    root's sensitivity to round-off in beta_0 up like 1/eps^2."""
+    for g0, g1, tol in ((1.0, -4.0, 1e-12), (3.0, -100.0, 1e-12), (-0.7, 0.3, 1e-12),
+                        (1e-6, -1.0, 1e-12), (2.0, -2.001, 1e-12), (2.0, -2.000001, 1e-9)):
+        exact = (Fraction(g0) + Fraction(g1)) / (Fraction(g0) * Fraction(g1))
+        lam1 = principal_eigenvalue(interval, np.array([g0, g1])).value
+        assert abs(Fraction(lam1) - exact) <= tol * exact
+    for m in (16, 32):
+        dom = build_domain("unit-disk", m)
+        for eps, tol in ((0.3, 1e-13), (1e-3, 1e-10), (1e-5, 1e-6)):
+            g = np.cos(dom.nodes) - eps
+            exact = _mp_disk_lambda1(dom, g)
+            assert abs(principal_eigenvalue(dom, g).value - exact) < tol * exact
+
+
+def test_principal_eigenvalue_raises_without_positive_root(interval, disk16, monkeypatch):
+    """No positive entry in g, or a sign-changing eigenvector at the root, raises."""
+    for dom, g in ((disk16, np.full(16, -1.0)), (disk16, np.minimum(np.cos(disk16.nodes), 0.0)),
+                   (interval, np.array([-1.0, -2.0])), (interval, np.array([0.0, -1.0]))):
+        with pytest.raises(RootNotBracketed):
+            principal_eigenvalue(dom, g)
+    normalize = indefbc.spectral._h1_normalize
+
+    def flip_one_entry(domain, v):
+        out = normalize(domain, v).copy()
+        out[0] = -out[0]
+        return out
+
+    monkeypatch.setattr(indefbc.spectral, "_h1_normalize", flip_one_entry)
+    with pytest.raises(RootNotBracketed):
+        principal_eigenvalue(disk16, sign_changing_disk_weight(disk16))
+
+
+def test_principal_eigenvalue_needs_few_beta_evaluations(monkeypatch):
+    """At most 10 beta_0 evaluations per lambda_1 on six draws of the disk family
+    g = cos(t - a1) + b2 cos 2(t - a2) + b3 cos 3(t - a3) - c at m = 128."""
+    calls = []
+    beta = indefbc.spectral._beta_smallest
+
+    def counted_beta(*args):
+        calls.append(args[1])
+        return beta(*args)
+
+    monkeypatch.setattr(indefbc.spectral, "_beta_smallest", counted_beta)
+    dom = build_domain("unit-disk", 128)
+    t = dom.nodes
+    rng = np.random.default_rng(13)
+    for _ in range(6):
+        a1, a2, a3 = rng.uniform(0.0, 2.0 * math.pi, 3)
+        b2, b3, c = rng.uniform(0.0, 0.2), rng.uniform(0.0, 0.1), rng.uniform(0.34, 0.38)
+        g = np.cos(t - a1) + b2 * np.cos(2 * (t - a2)) + b3 * np.cos(3 * (t - a3)) - c
+        calls.clear()
+        assert principal_eigenvalue(dom, g).value > 0.0
+        assert 1 <= len(calls) <= 10 and all(s == 0.0 for s in calls)
 
 
 # ---------------------------------------------------------------------------
