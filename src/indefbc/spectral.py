@@ -10,7 +10,8 @@ along a solution branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -48,14 +49,38 @@ class EigenPair:
 
 @dataclass(frozen=True)
 class MuSpectrum:
-    """Real spectrum of the weighted problem at a solution (lambda, w)."""
+    """Real spectrum of the weighted problem at a solution (lambda, w).
 
-    mu_values: np.ndarray
-    principal: np.ndarray  # sign-definite eigenfunction flags
+    The values come from an eigenvalue-only solve; ``eigenfunctions`` and
+    ``principal`` are computed on first read and cached, so a caller that
+    reads only mu_2^+ never pays for eigenvectors.
+    """
+
+    mu_values: np.ndarray  # ascending
     mu1_minus: float
     mu1_plus: float
     mu2_plus: float  # +inf when absent
-    eigenfunctions: np.ndarray  # columns aligned with mu_values
+    _weights: np.ndarray = field(repr=False, compare=False)  # boundary quadrature
+    _pencil: tuple = field(repr=False, compare=False)  # (A, b): A phi = mu diag(b) phi
+    # the eigh column of each mu_value; None where the values came from QZ
+    _columns: np.ndarray | None = field(repr=False, compare=False)
+
+    @cached_property
+    def eigenfunctions(self) -> np.ndarray:
+        """Columns aligned with mu_values, boundary-L2 normalized, largest entry positive."""
+        a, b = self._pencil
+        if self._columns is None:
+            funcs = _real_pencil_eigs(a, np.diag(b))[1]
+        else:
+            funcs = scipy.linalg.eigh(np.diag(b), a)[1][:, self._columns]
+        funcs = funcs / np.sqrt(self._weights @ funcs ** 2)
+        peaks = funcs[np.argmax(np.abs(funcs), axis=0), np.arange(funcs.shape[1])]
+        return np.where(peaks < 0.0, -funcs, funcs)
+
+    @cached_property
+    def principal(self) -> np.ndarray:
+        """Sign-definite eigenfunction flags, aligned with mu_values."""
+        return np.all(self.eigenfunctions > 0.0, axis=0)
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -239,46 +264,44 @@ def gamma1(domain: Domain, g, lam: float, w, p: float, h=None) -> EigenPair:
 def weighted_steklov_spectrum(domain: Domain, g, lam: float, w, p: float) -> MuSpectrum:
     """All real eigenvalues mu of (Lambda - lambda M_g) phi = mu M_{g w^(p-1)} phi.
 
-    For lambda in (0, lambda_1(g)) the left side A is positive definite
-    and the pencil is reduced symmetrically through its eigenvectors; at lambda = 0
-    A is only semidefinite (kernel = constants) and QZ is used instead.
-    mu = 1 is always present at a solution, with eigenfunction w.
+    For lambda in (0, lambda_1(g)) the left side A is positive definite, and
+    the values are nu = 1/mu of the symmetric-definite pencil (M_{g w^(p-1)}, A),
+    from one eigenvalue-only Cholesky-reduced ``eigh`` (Golub & Van Loan 8.7);
+    the eigenfunctions are one more ``eigh``, with vectors, on first read.
+    At lambda = 0, A is only semidefinite (kernel = constants) and QZ is used
+    instead.  A failed Cholesky factorization of A falls back on A's smallest
+    eigenvalue: below -1e-10 * scale raises, within the round-off window
+    around 0 QZ is used as well.  mu = 1 is always present at a solution,
+    with eigenfunction w.
     """
     gv = as_values(domain, g)
     wv = as_values(domain, w)
     a = dtn_matrix(domain) - np.diag(domain.weights * lam * gv)
     b = domain.weights * gv * np.abs(wv) ** (p - 1.0)  # diagonal of M_{g w^(p-1)}
-    evals, evecs = np.linalg.eigh(a)
-    scale = max(abs(evals[0]), abs(evals[-1]), 1.0)
-    if evals[0] < -1e-10 * scale:
-        raise PencilNotPositiveDefinite(
-            f"Lambda - lambda M_g has eigenvalue {evals[0]}; lambda outside (0, lambda_1)"
-        )
-    if evals[0] > 1e-10 * scale:
-        # symmetric reduction through S = V diag(evals)^(-1/2), S^T A S = I:
-        # the eigenvalues of S^T B S are 1/mu, with eigenfunctions S psi
-        red = evecs * evals ** -0.5
-        nus, psis = np.linalg.eigh(red.T @ (b[:, None] * red))
-        keep = np.abs(nus) > 1e-12
-        mus = 1.0 / nus[keep]
-        funcs = red @ psis[:, keep]
+    nus = None
+    if lam != 0.0:
+        try:
+            nus = scipy.linalg.eigh(np.diag(b), a, eigvals_only=True)
+        except np.linalg.LinAlgError:  # A not numerically positive definite
+            evals = np.linalg.eigvalsh(a)
+            scale = max(abs(evals[0]), abs(evals[-1]), 1.0)
+            if evals[0] < -1e-10 * scale:
+                raise PencilNotPositiveDefinite(
+                    f"Lambda - lambda M_g has eigenvalue {evals[0]}; lambda outside (0, lambda_1)"
+                ) from None
+    if nus is not None:
+        keep = np.flatnonzero(np.abs(nus) > 1e-12)
+        order = np.argsort(1.0 / nus[keep])
+        columns = keep[order]  # eigh sorts nu alike with or without vectors
+        mus = 1.0 / nus[columns]
     else:
-        mus, funcs = _real_pencil_eigs(a, np.diag(b))
-    order = np.argsort(mus)
-    mus = mus[order]
-    funcs = funcs[:, order]
-    # boundary-L2 normalize every column and make its largest entry positive
-    funcs = funcs / np.sqrt(domain.weights @ funcs ** 2)
-    peaks = funcs[np.argmax(np.abs(funcs), axis=0), np.arange(funcs.shape[1])]
-    funcs = np.where(peaks < 0.0, -funcs, funcs)
-    principal = np.all(funcs > 0.0, axis=0)
-
+        mus, columns = _real_pencil_eigs(a, np.diag(b))[0], None
     positive = mus[mus > 1e-12]
     mu1_plus = float(positive[0]) if len(positive) else math.nan
     mu2_plus = float(positive[1]) if len(positive) >= 2 else math.inf
     nonpos = mus[mus <= 1e-12]
     mu1_minus = float(nonpos[-1]) if len(nonpos) else math.nan
-    return MuSpectrum(mus, principal, mu1_minus, mu1_plus, mu2_plus, funcs)
+    return MuSpectrum(mus, mu1_minus, mu1_plus, mu2_plus, domain.weights, (a, b), columns)
 
 
 def m_delta(domain: Domain, g, p: float, branch) -> float:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 import indefbc.solve
 import indefbc.spectral
@@ -348,7 +349,8 @@ def test_disk_branch_needs_few_beta_evaluations_per_gamma1(monkeypatch):
 
 
 def test_disk_eigenvalues_converge_in_m():
-    """lambda_1, sigma_1(lambda_1/2) and gamma_1 at a fixed trace do not drift with m.
+    """lambda_1, sigma_1(lambda_1/2), and gamma_1, mu_1^+ and mu_2^+ at a fixed
+    trace do not drift with m.
 
     The weight and the trace hold only modes 0 and 1, so every m >= 16
     resolves them exactly and the values agree to round-off.
@@ -361,7 +363,8 @@ def test_disk_eigenvalues_converge_in_m():
         sig = sigma1(dom, g, 0.5 * lam1)
         gam = gamma1(dom, g, 0.3 * lam1, w, 2.0)
         assert sig.residual < 1e-8 and gam.residual < 1e-8
-        return np.array([lam1, sig.value, gam.value])
+        mu = weighted_steklov_spectrum(dom, g, 0.3 * lam1, w, 2.0)
+        return np.array([lam1, sig.value, gam.value, mu.mu1_plus, mu.mu2_plus])
 
     reference = values(64)
     for m in (256, 512):
@@ -467,12 +470,20 @@ def test_mu_minus_zero_at_lambda_zero(interval):
     assert abs(spec.mu1_minus) < 1e-8
 
 
-def test_mu_pencil_requires_coercive_range(disk16):
-    g = sign_changing_disk_weight(disk16)
-    lam1 = principal_eigenvalue(disk16, g).value
-    w = np.full(16, 0.1)
-    with pytest.raises(PencilNotPositiveDefinite):
-        weighted_steklov_spectrum(disk16, g, 1.5 * lam1, w, 2.0)
+def test_mu_pencil_requires_coercive_range():
+    """Outside [0, lambda_1] the pencil raises; within the round-off window
+    around lambda = 0, on either side, it still gives a spectrum."""
+    for m in (16, 128):
+        dom = build_domain("unit-disk", m)
+        g = sign_changing_disk_weight(dom)
+        lam1 = principal_eigenvalue(dom, g).value
+        w = np.full(m, 0.1)
+        for frac in (-0.05, 1.000001, 1.5):
+            with pytest.raises(PencilNotPositiveDefinite):
+                weighted_steklov_spectrum(dom, g, frac * lam1, w, 2.0)
+        for frac in (-1e-9, 1e-9):
+            spec = weighted_steklov_spectrum(dom, g, frac * lam1, w, 2.0)
+            assert np.all(np.isfinite(spec.mu_values)) and math.isfinite(spec.mu2_plus)
 
 
 def test_mu_gap_at_p_matches_jacobian_regularity(disk16):
@@ -540,6 +551,30 @@ def test_mu_spectrum_matches_per_column_reference():
         defect = a @ got - (b @ got) * spec.mu_values
         scale = np.linalg.norm(a, 2) + np.abs(spec.mu_values) * np.linalg.norm(b, 2)
         assert np.all(np.linalg.norm(defect, axis=0) <= 1e-11 * scale * np.linalg.norm(got, axis=0))
+
+
+def test_mu2_plus_needs_one_eigenvalue_only_solve(monkeypatch):
+    """mu_2^+ costs one eigenvalue-only eigh; the eigenfunctions one more, once."""
+    dom = build_domain("unit-disk", 64)
+    g = sign_changing_disk_weight(dom)
+    branch = continue_branch(ProblemSpec(dom, 2.0, g), options=StepOptions(with_gamma1=False))
+    point = branch.at_lambda(0.3 * branch.bifurcation_lambda, with_gamma1=False)
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def counted_eigh(*args, **kwargs):
+        calls.append(kwargs.get("eigvals_only", False))
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
+    spec = weighted_steklov_spectrum(dom, g, point.lam, point.w, 2.0)
+    assert math.isfinite(spec.mu2_plus)
+    assert calls == [True]
+    funcs = spec.eigenfunctions
+    assert spec.principal.sum() >= 1
+    assert calls == [True, False]
+    assert spec.eigenfunctions is funcs and spec.principal.sum() >= 1
+    assert calls == [True, False]
 
 
 def test_m_delta_infinite_on_interval(interval):
