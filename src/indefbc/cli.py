@@ -23,6 +23,7 @@ from .experiments import asymptotics_fit, delta_sweep, oracle_1d
 from .problem import LOGISTIC, W_FORM
 from .solve import minimize_nehari, multi_start_solutions, nonexistence_probe
 from .spectral import (
+    near_lambda1,
     nonnegative_integral,
     principal_eigenvalue,
     sigma1,
@@ -106,7 +107,10 @@ def cmd_eig(config: RunConfig, out_dir: str, verbose: bool) -> int:
         g0, g1 = float(spec.g[0]), float(spec.g[1])
         if g0 * g1 < 0.0 and g0 + g1 < 0.0:
             closed_form = (g0 + g1) / (g0 * g1)
-    grid = sorted(set(_lam_grid(config)) | {0.0, lam1})
+    grid = set(_lam_grid(config)) | {0.0}
+    if not any(near_lambda1(lam, lam1) for lam in grid):
+        grid.add(lam1)
+    grid = sorted(grid)
     for lam in grid:
         value = sigma1(domain, spec.g, float(lam)).value
         rows.append({"lambda": float(lam), "sigma1": value})
@@ -182,13 +186,15 @@ def cmd_branch(config: RunConfig, out_dir: str, verbose: bool) -> int:
             handle.write("\n".join(content) + "\n")
     if verbose:
         print(f"{len(branch.points)} points, lambda1={_fmt(lam1)}, "
-              f"range={branch.lam_range}")
+              f"range={branch.lam_range}, stopped at {branch.termination}")
+    incomplete = branch.termination == "step-underflow"
     payload = _report(config, "branch", {
         "lambda1": lam1, "n_points": len(branch.points),
         "lam_range": list(branch.lam_range), "direction": branch.direction,
-    }, incomplete=False)
+        "termination": branch.termination,
+    }, incomplete)
     _write_json(os.path.join(out_dir, "branch.json"), payload)
-    return EXIT_OK
+    return EXIT_SOLVER if incomplete else EXIT_OK
 
 
 def cmd_sweep(config: RunConfig, out_dir: str, verbose: bool) -> int:

@@ -142,6 +142,8 @@ def config_from_dict(raw: dict) -> RunConfig:
     for label, tol in (("step_min", step_min), ("step_max", step_max)):
         if tol <= 0.0:
             raise ConfigError(f"tolerance {label} must be positive, got {tol}")
+    if step_min > step_max:
+        raise ConfigError(f"step_min {step_min} exceeds step_max {step_max}")
     if samples < 1 or n_inits < 1 or m < 2 or seed < 0:
         raise ConfigError("samples, n_inits, m must be >= 1 (m >= 2); seed >= 0")
     echo = {section: dict(parser.items(section)) for section in parser.sections()}

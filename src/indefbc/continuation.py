@@ -60,6 +60,10 @@ class Branch:
     bifurcation_lambda: float
     tangent: np.ndarray = field(repr=False)  # phi_1(g), H1-normalized
     direction: str  # "subcritical" | "supercritical"
+    # why continue_branch stopped: "lam-floor" (past lam_floor_factor * lambda_1),
+    # "window", "blow-up" (past sup_ceiling), "step-underflow" (no step of at least
+    # ds_min accepted) or "max-points"; None for a Branch built by hand
+    termination: str | None = None
 
     @property
     def lam_range(self) -> tuple[float, float]:
@@ -165,7 +169,7 @@ def continue_branch(spec: ProblemSpec, lam_window=None,
     Secant predictor / Newton corrector with adaptive arclength step; the
     scalar parameter is weighted 1 and the trace 1/sqrt(M).  Stops past
     lambda = lam_floor_factor * lambda_1, at blow-up, at the window edge,
-    or on step underflow.
+    on step underflow or at max_points; ``Branch.termination`` says which.
     """
     options = options or StepOptions()
     domain = spec.domain
@@ -181,12 +185,14 @@ def continue_branch(spec: ProblemSpec, lam_window=None,
     lam_lo, lam_hi = (-math.inf, math.inf) if lam_window is None else lam_window
 
     ds = options.ds_init
+    termination = "max-points"
     while len(points) < options.max_points:
         prev, cur = points[-2], points[-1]
         dw = cur.w - prev.w
         dl = cur.lam - prev.lam
         norm = math.sqrt(_weighted_dot(m, dw, dl, dw, dl))
         if norm == 0.0:
+            termination = "step-underflow"  # no secant direction to step along
             break
         t_w, t_lam = dw / norm, dl / norm
         accepted = None
@@ -209,17 +215,23 @@ def continue_branch(spec: ProblemSpec, lam_window=None,
             accepted = (wv, lv)
             break
         if accepted is None:
-            break  # step underflow terminates the branch
+            termination = "step-underflow"
+            break
         wv, lv = accepted
         points.append(make_point(spec, lv, wv, with_gamma1=options.with_gamma1))
         ds = min(ds * 1.3, options.ds_max)
-        if lv < lam_floor or lv < lam_lo or lv > lam_hi:
+        if lv < lam_floor:
+            termination = "lam-floor"
+            break
+        if lv < lam_lo or lv > lam_hi:
+            termination = "window"
             break
         if points[-1].sup_norm > options.sup_ceiling:
+            termination = "blow-up"
             break
 
     direction = "subcritical" if points[0].lam < lam1 else "supercritical"
-    return Branch(spec, points, lam1, phi1, direction)
+    return Branch(spec, points, lam1, phi1, direction, termination)
 
 
 @dataclass(frozen=True)

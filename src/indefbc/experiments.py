@@ -18,7 +18,7 @@ from .errors import (
 )
 from .problem import LOGISTIC, W_FORM, ProblemSpec, logistic_spec
 from .solve import multi_start_solutions, nonexistence_probe
-from .spectral import m_delta, nonnegative_integral, principal_eigenvalue
+from .spectral import m_delta, near_lambda1, nonnegative_integral, principal_eigenvalue
 from .weights import build_family
 
 _ORACLE_GRID = 400
@@ -405,8 +405,10 @@ def logistic_scenarios(domain: Domain, r, lam_grid, *,
             for lam in lam_grid)
         # small solutions 0 < u < 1: unique for lambda > lambda_1(r), none below
         if lam1_r > 0.0:
-            below = [float(l) for l in lam_grid if 0.0 < l <= lam1_r]
-            above = [float(l) for l in lam_grid if l > lam1_r]
+            below = [float(l) for l in lam_grid
+                     if 0.0 < l <= lam1_r or near_lambda1(l, lam1_r)]
+            above = [float(l) for l in lam_grid
+                     if l > lam1_r and not near_lambda1(l, lam1_r)]
             checks["oracle_below_one_counts"] = {
                 "at_or_below_lam1": [sum(c == "positive-below-one" for c in
                                          oracle_1d(LOGISTIC, rv, l).classifications)

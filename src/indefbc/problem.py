@@ -132,12 +132,15 @@ def residual_vector(spec: ProblemSpec, lam: float, w) -> np.ndarray:
     return free_gradient(spec, lam, w)
 
 
-def residual_jacobian(spec: ProblemSpec, lam: float, w) -> np.ndarray:
+def jacobian_diagonal(spec: ProblemSpec, lam: float, w) -> np.ndarray:
+    """d with F'(w) = Lambda - diag(d): d = Q (lambda g + p h |w|^(p-1))."""
     wv = as_values(spec.domain, w)
-    a = dtn_matrix(spec.domain)
     h = spec.superlinear_weight
-    q = spec.domain.weights
-    return a - np.diag(q * (lam * spec.g + spec.p * h * np.abs(wv) ** (spec.p - 1.0)))
+    return spec.domain.weights * (lam * spec.g + spec.p * h * np.abs(wv) ** (spec.p - 1.0))
+
+
+def residual_jacobian(spec: ProblemSpec, lam: float, w) -> np.ndarray:
+    return dtn_matrix(spec.domain) - np.diag(jacobian_diagonal(spec, lam, w))
 
 
 def conservation_defect(spec: ProblemSpec, lam: float, w) -> float:

@@ -6,8 +6,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .domain import as_values
+from .dtn import dtn_matrix
 from .errors import InitNotProjectable, LeftPositiveCone, MaxIterations, SingularJacobian
 from .problem import (
     ProblemSpec,
@@ -15,6 +17,7 @@ from .problem import (
     conservation_defect,
     free_gradient,
     functionals,
+    jacobian_diagonal,
     nehari_project,
     residual_jacobian,
     residual_vector,
@@ -27,6 +30,9 @@ GRAD_TOL = 1e-10
 _MAX_DAMPING = 30
 _MAX_NEWTON = 200
 _MAX_DESCENT = 50_000
+# Forcing term of the inexact Newton step taken on kept LU factors: the step is
+# used when its linear residual is at most this fraction of |F|.
+_REUSE_ETA = 1e-4
 
 
 def make_point(spec: ProblemSpec, lam: float, w, with_gamma1: bool = True) -> SolutionPoint:
@@ -47,37 +53,70 @@ def newton_solve(spec: ProblemSpec, lam: float, init, *,
                  tol: float = NEWTON_TOL, with_gamma1: bool = True) -> SolutionPoint:
     """Damped Newton on the boundary-reduced residual from a positive init.
 
-    Steps are halved (up to 30 times) when the residual grows or the
-    iterate leaves the positive cone.
+    Steps are halved (up to 30 times) until the iterate stays in the positive
+    cone and the residual falls; LeftPositiveCone when no halving does.  The
+    Jacobian is factored by LAPACK getrf, and a zero pivot raises
+    SingularJacobian.  After a damped step the factors are kept: the step s
+    they give at the new iterate w is taken as an inexact Newton step (Dembo,
+    Eisenstat & Steihaug 1982) when |F(w) - F'(w) s| <= eta |F(w)|, eta =
+    _REUSE_ETA = 1e-4, with F'(w) s = Lambda s - d s (d from
+    jacobian_diagonal, no Jacobian assembled).  The Jacobian is factored
+    afresh after every full step, when that test fails, and when the reused
+    step is non-finite or cannot be damped; only a fresh step raises.
     """
     w = as_values(spec.domain, init).copy()
     if np.min(w) <= 0.0:
         raise LeftPositiveCone("initial trace must be strictly positive")
+    lap = dtn_matrix(spec.domain)
     res = residual_vector(spec, lam, w)
     res_norm = float(np.linalg.norm(res))
+    factors = None  # LU of an earlier iterate's Jacobian, kept after a damped step
     for _ in range(_MAX_NEWTON):
         if res_norm < tol * (1.0 + float(np.max(np.abs(w))) ** spec.p):
             return make_point(spec, lam, w, with_gamma1)
-        jac = residual_jacobian(spec, lam, w)
-        try:
-            step = np.linalg.solve(jac, res)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(str(exc)) from exc
-        if not np.all(np.isfinite(step)):
-            raise SingularJacobian("non-finite Newton step")
-        alpha = 1.0
-        for _ in range(_MAX_DAMPING):
-            trial = w - alpha * step
-            if np.min(trial) > 0.0:
-                trial_res = residual_vector(spec, lam, trial)
-                trial_norm = float(np.linalg.norm(trial_res))
-                if trial_norm < res_norm or alpha < 1.0 / (1 << (_MAX_DAMPING - 1)):
-                    w, res, res_norm = trial, trial_res, trial_norm
-                    break
-            alpha *= 0.5
-        else:
-            raise LeftPositiveCone("damping could not keep the iterate positive")
+        moved = None
+        if factors is not None:
+            step = dgetrs(*factors, res)[0]
+            if np.all(np.isfinite(step)):
+                linear = res - (lap @ step - jacobian_diagonal(spec, lam, w) * step)
+                if np.linalg.norm(linear) <= _REUSE_ETA * res_norm:
+                    moved = _damped_step(spec, lam, w, step, res_norm)
+        if moved is None:
+            factors = _lu_factor(residual_jacobian(spec, lam, w))
+            step = dgetrs(*factors, res)[0]
+            if not np.all(np.isfinite(step)):
+                raise SingularJacobian("non-finite Newton step")
+            moved = _damped_step(spec, lam, w, step, res_norm)
+            if moved is None:
+                raise LeftPositiveCone("no damped step stays positive and lowers the residual")
+        w, res, res_norm, alpha = moved
+        if alpha == 1.0:
+            factors = None
     raise MaxIterations(f"Newton stalled at residual {res_norm}")
+
+
+def _lu_factor(jac: np.ndarray):
+    """LAPACK getrf factors of the Jacobian; a zero pivot raises SingularJacobian."""
+    lu, piv, info = dgetrf(jac, overwrite_a=True)
+    if info > 0:
+        raise SingularJacobian(f"singular Jacobian: zero pivot in column {info - 1}")
+    return lu, piv
+
+
+def _damped_step(spec: ProblemSpec, lam: float, w: np.ndarray, step: np.ndarray,
+                 res_norm: float):
+    """(w, F, |F|, alpha) at w - alpha step for the first alpha = 2^-k,
+    k < _MAX_DAMPING, that keeps the iterate positive and lowers |F|; None if none does."""
+    alpha = 1.0
+    for _ in range(_MAX_DAMPING):
+        trial = w - alpha * step
+        if np.min(trial) > 0.0:
+            trial_res = residual_vector(spec, lam, trial)
+            trial_norm = float(np.linalg.norm(trial_res))
+            if trial_norm < res_norm:
+                return trial, trial_res, trial_norm, alpha
+        alpha *= 0.5
+    return None
 
 
 def minimize_nehari(spec: ProblemSpec, lam: float, init=None, *,
@@ -150,8 +189,6 @@ def _tangent_gradient(spec: ProblemSpec, lam: float, w: np.ndarray,
     # superlinear part, computed directly for robustness.
     q = spec.domain.weights
     h = spec.superlinear_weight
-    from .dtn import dtn_matrix
-
     a = dtn_matrix(spec.domain)
     c_grad = 2.0 * (a @ w - q * lam * spec.g * w) \
         - (spec.p + 1.0) * q * h * np.abs(w) ** (spec.p - 1.0) * w

@@ -34,6 +34,11 @@ from .errors import (
 _RESIDUAL_TOL = 1e-8
 _S_FLOOR = -1e12  # the sigma_1 / gamma_1 root search gives up below this s
 _MAX_ROOT_STEPS = 200  # bisection alone narrows the widest bracket to 1e-14 in 87
+_EPS = float(np.finfo(float).eps)
+# A Cholesky-reduced mu_2^+ whose relative error estimate eps max|nu| mu_2^+ exceeds
+# this goes to QZ.  The estimate overstated the error at least 5x where measured;
+# branch seed points next to lambda_1 reach 1.5e-11, lambda = 1e-6 lambda_1 1.6e-10.
+_MU2_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -126,6 +131,13 @@ def nonnegative_integral(domain: Domain, g) -> bool:
     return boundary_integral(domain, gv) >= -1e-12 * boundary_integral(domain, np.abs(gv))
 
 
+def near_lambda1(lam: float, lam1: float) -> bool:
+    """Whether lam is lambda_1 within the root finder's tolerance, so a grid
+    point placed at the exact lambda_1 counts as lambda_1 whichever way the
+    computed value rounds."""
+    return abs(lam - lam1) <= _root_tol(lam1)
+
+
 def principal_eigenvalue(domain: Domain, g) -> EigenPair:
     """Positive principal eigenvalue lambda_1(g) of Lambda phi = lambda M_g phi.
 
@@ -175,6 +187,11 @@ def _beta_smallest(domain: Domain, s: float,
     return float(vals[0]), vecs[:, 0]
 
 
+def _root_tol(x: float) -> float:
+    """_newton_root's step tolerance at x: brentq's xtol and rtol."""
+    return 1e-14 + 4.0 * _EPS * abs(x)
+
+
 def _newton_root(evaluate, x: float, lo: float, hi: float, label: str):
     """Root in [lo, hi] of f, positive below it and negative above, and the
     vector of the last evaluation; ``evaluate(x)`` gives (f(x), f'(x), vector).
@@ -205,7 +222,7 @@ def _newton_root(evaluate, x: float, lo: float, hi: float, label: str):
                 break
             hi, hi_seen = x, True
         step = f / slope if slope < 0.0 else (x - hi if f > 0.0 else x - lo)
-        tol = 1e-14 + 4.0 * np.finfo(float).eps * abs(x)  # brentq's xtol and rtol
+        tol = _root_tol(x)
         if abs(step) <= tol:
             break
         new = x - step
@@ -271,14 +288,17 @@ def weighted_steklov_spectrum(domain: Domain, g, lam: float, w, p: float) -> MuS
     At lambda = 0, A is only semidefinite (kernel = constants) and QZ is used
     instead.  A failed Cholesky factorization of A falls back on A's smallest
     eigenvalue: below -1e-10 * scale raises, within the round-off window
-    around 0 QZ is used as well.  mu = 1 is always present at a solution,
-    with eigenfunction w.
+    around 0 QZ is used as well.  Where A is nearly singular the reduction's
+    nu err by up to about eps max|nu|, and QZ is used too when mu_2^+'s
+    relative error estimate eps max|nu| mu_2^+ exceeds _MU2_RTOL (within
+    about 1e-6 lambda_1 of lambda = 0).
+    mu = 1 is always present at a solution, with eigenfunction w.
     """
     gv = as_values(domain, g)
     wv = as_values(domain, w)
     a = dtn_matrix(domain) - np.diag(domain.weights * lam * gv)
     b = domain.weights * gv * np.abs(wv) ** (p - 1.0)  # diagonal of M_{g w^(p-1)}
-    nus = None
+    mus = None
     if lam != 0.0:
         try:
             nus = scipy.linalg.eigh(np.diag(b), a, eigvals_only=True)
@@ -289,12 +309,16 @@ def weighted_steklov_spectrum(domain: Domain, g, lam: float, w, p: float) -> MuS
                 raise PencilNotPositiveDefinite(
                     f"Lambda - lambda M_g has eigenvalue {evals[0]}; lambda outside (0, lambda_1)"
                 ) from None
-    if nus is not None:
-        keep = np.flatnonzero(np.abs(nus) > 1e-12)
-        order = np.argsort(1.0 / nus[keep])
-        columns = keep[order]  # eigh sorts nu alike with or without vectors
-        mus = 1.0 / nus[columns]
-    else:
+        else:
+            keep = np.flatnonzero(np.abs(nus) > 1e-12)
+            # eigh sorts nu alike with or without vectors
+            columns = keep[np.argsort(1.0 / nus[keep])]
+            mus = 1.0 / nus[columns]
+            # each nu errs by about eps max|nu|, so mu_2^+ by that times mu_2^+ relative
+            positive = mus[mus > 1e-12]
+            if len(positive) >= 2 and _EPS * np.max(np.abs(nus)) * positive[1] > _MU2_RTOL:
+                mus = None
+    if mus is None:
         mus, columns = _real_pencil_eigs(a, np.diag(b))[0], None
     positive = mus[mus > 1e-12]
     mu1_plus = float(positive[0]) if len(positive) else math.nan

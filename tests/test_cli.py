@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+import indefbc.cli
 from indefbc.cli import CSV_HEADER, main
 from indefbc.config import config_from_dict, config_to_ini, load_config
 from indefbc.domain import build_domain
@@ -185,8 +187,52 @@ def test_config_validation_messages(tmp_path):
                                  "problem": {"g_terms": "1:1:0; 0:-0.3:0", key: value}})
         with pytest.raises(ConfigError):
             disk.build_weight(disk.build_domain(), "g")
+    with pytest.raises(ConfigError):
+        config_from_dict({"tolerances": {"step_min": "0.3", "step_max": "0.2"}})
     with pytest.raises(ShapeMismatch):
         ProblemSpec(build_domain("interval", 2), math.nan, np.array([1.0, -4.0]))
     cfg = load_config(_write(tmp_path, INTERVAL_INI))
     assert cfg.lam_window == (0.05, 0.7)
     assert cfg.n_inits == 8
+
+
+def test_branch_reports_step_underflow_as_incomplete(tmp_path):
+    """step_min above the initial step (0.02) stops the disk branch after its seed
+    points, next to lambda_1: branch.json says why, is incomplete, and the exit is 3.
+    The same disk with the default step_min runs to the lambda floor."""
+    ini = ("[domain]\nkind = unit-disk\nm = 32\n\n"
+           "[problem]\np = 2.0\ng_terms = 1:1.0:0.0; 0:-0.3:0.0\n")
+    underflow = ini + "\n[tolerances]\nstep_min = 0.05\n"
+    assert main(["branch", "--config", _write(tmp_path, underflow, "under.ini"),
+                 "--out", str(tmp_path / "under")]) == 3
+    payload = json.loads((tmp_path / "under" / "branch.json").read_text())
+    assert payload["incomplete"] and payload["termination"] == "step-underflow"
+    assert payload["lam_range"][0] > 0.9 * payload["lambda1"]
+    assert main(["branch", "--config", _write(tmp_path, ini, "full.ini"),
+                 "--out", str(tmp_path / "full")]) == 0
+    payload = json.loads((tmp_path / "full" / "branch.json").read_text())
+    assert not payload["incomplete"] and payload["termination"] == "lam-floor"
+    assert payload["lam_range"][0] < 0.0
+
+
+@pytest.mark.parametrize("direction", [-math.inf, math.inf])
+def test_eig_rows_ignore_lambda1_rounding(tmp_path, monkeypatch, direction):
+    """A window grid point at the exact lambda_1 = 0.75 of g = (1, -4) stays one
+    row, with the same sigma_1, when lambda_1 comes out one ulp low or high."""
+    cfg = _write(tmp_path, INTERVAL_INI.replace("0.05, 0.7", "0.05, 0.75"))
+    assert main(["eig", "--config", cfg, "--out", str(tmp_path / "exact")]) == 0
+    principal = indefbc.cli.principal_eigenvalue
+
+    def nudged(domain, g):  # one ulp off the closed form (g0 + g1) / (g0 g1), exact here
+        exact = (g[0] + g[1]) / (g[0] * g[1])
+        return dataclasses.replace(principal(domain, g),
+                                   value=float(np.nextafter(exact, direction)))
+
+    monkeypatch.setattr(indefbc.cli, "principal_eigenvalue", nudged)
+    assert main(["eig", "--config", cfg, "--out", str(tmp_path / "nudged")]) == 0
+    exact, moved = (json.loads((tmp_path / out / "eig.json").read_text())
+                    for out in ("exact", "nudged"))
+    assert moved["lambda1"] != exact["lambda1"] == 0.75
+    assert moved["sigma1_rows"] == exact["sigma1_rows"]
+    lams = [row["lambda"] for row in exact["sigma1_rows"]]
+    assert len(lams) == 4 and lams[-1] == 0.75

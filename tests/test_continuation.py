@@ -152,3 +152,13 @@ def test_step_options_control_termination(interval):
     short = continue_branch(spec, options=StepOptions(max_points=6))
     assert len(short.points) <= 6
     assert short.direction == "subcritical"
+
+
+def test_branch_records_why_it_stopped(interval):
+    spec = ProblemSpec(interval, 2.0, G_1D)
+    assert continue_branch(spec).termination == "lam-floor"
+    assert continue_branch(spec, lam_window=(0.3, 1.0)).termination == "window"
+    stops = {"max-points": StepOptions(max_points=6), "blow-up": StepOptions(sup_ceiling=0.5),
+             "step-underflow": StepOptions(ds_min=0.05)}
+    for reason, options in stops.items():
+        assert continue_branch(spec, options=options).termination == reason

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import indefbc.experiments
 from indefbc.continuation import continue_branch
 from indefbc.domain import build_domain
 from indefbc.errors import InsufficientSamples, ShapeMismatch, UnsupportedExponent
@@ -147,6 +149,25 @@ def test_logistic_nonpositive_average_scenario(interval):
     assert report.scenario == "nonpositive-average"
     assert report.checks["probes_empty"]
     assert report.checks["oracle_no_above_one"]
+    counts = report.checks["oracle_below_one_counts"]
+    assert counts["at_or_below_lam1"] == [0, 0]
+    assert counts["above_lam1"] == [1, 1]
+
+
+@pytest.mark.parametrize("direction", [-math.inf, math.inf])
+def test_logistic_counts_ignore_lambda1_rounding(interval, monkeypatch, direction):
+    """The grid point 0.125 = lambda_1(r) of r = (4, -8) counts as at lambda_1 when
+    the computed lambda_1 is one ulp low or high."""
+    principal = indefbc.experiments.principal_eigenvalue
+
+    def nudged(domain, g):  # one ulp off the closed form (g0 + g1) / (g0 g1), exact here
+        exact = (g[0] + g[1]) / (g[0] * g[1])
+        return dataclasses.replace(principal(domain, g),
+                                   value=float(np.nextafter(exact, direction)))
+
+    monkeypatch.setattr(indefbc.experiments, "principal_eigenvalue", nudged)
+    report = logistic_scenarios(interval, np.array([4.0, -8.0]), [0.05, 0.125, 0.2, 0.4],
+                                n_inits=8, seed=0)
     counts = report.checks["oracle_below_one_counts"]
     assert counts["at_or_below_lam1"] == [0, 0]
     assert counts["above_lam1"] == [1, 1]

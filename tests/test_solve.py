@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from indefbc.errors import LeftPositiveCone, NonpositiveEOrG
+import indefbc.solve
+from indefbc.domain import build_domain
+from indefbc.errors import LeftPositiveCone, MaxIterations, NonpositiveEOrG, SingularJacobian
 from indefbc.problem import (
     ProblemSpec,
     conservation_defect,
@@ -11,8 +13,12 @@ from indefbc.problem import (
     functionals,
     logistic_spec,
     nehari_project,
+    residual_jacobian,
+    residual_vector,
 )
 from indefbc.solve import (
+    NEWTON_TOL,
+    make_point,
     minimize_nehari,
     multi_start_solutions,
     newton_solve,
@@ -160,3 +166,83 @@ def test_probe_report_is_seed_deterministic(interval):
     b = nonexistence_probe(spec, 1.5, 16, seed=3)
     assert a.failures == b.failures
     assert len(a.findings) == len(b.findings)
+
+
+def _plain_newton(spec, lam, init, *, tol=NEWTON_TOL, with_gamma1=True):
+    """Damped Newton with a fresh dense solve every iteration, no factor reuse."""
+    w = np.asarray(init, dtype=float).copy()
+    if np.min(w) <= 0.0:
+        raise LeftPositiveCone("initial trace must be strictly positive")
+    res = residual_vector(spec, lam, w)
+    res_norm = float(np.linalg.norm(res))
+    for _ in range(200):
+        if res_norm < tol * (1.0 + float(np.max(np.abs(w))) ** spec.p):
+            return make_point(spec, lam, w, with_gamma1)
+        try:
+            step = np.linalg.solve(residual_jacobian(spec, lam, w), res)
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobian(str(exc)) from exc
+        if not np.all(np.isfinite(step)):
+            raise SingularJacobian("non-finite Newton step")
+        alpha = 1.0
+        for _ in range(30):
+            trial = w - alpha * step
+            if np.min(trial) > 0.0:
+                trial_res = residual_vector(spec, lam, trial)
+                trial_norm = float(np.linalg.norm(trial_res))
+                if trial_norm < res_norm:
+                    w, res, res_norm = trial, trial_res, trial_norm
+                    break
+            alpha *= 0.5
+        else:
+            raise LeftPositiveCone("damping could not keep the iterate positive")
+    raise MaxIterations(f"Newton stalled at residual {res_norm}")
+
+
+def test_probe_matches_plain_newton_reference(interval, monkeypatch):
+    """Reusing LU factors after damped steps changes no probe outcome: 32-init
+    probes at 0.5, 1 and 1.5 lambda_1 give the failure counts and findings of
+    plain damped Newton."""
+    cases = [(interval, G_1D)]
+    for m in (64, 128):
+        dom = build_domain("unit-disk", m)
+        cases.append((dom, sign_changing_disk_weight(dom)))
+    for dom, g in cases:
+        spec = ProblemSpec(dom, 2.0, g)
+        lam1 = principal_eigenvalue(dom, g).value
+        for factor in (0.5, 1.0, 1.5):
+            got = nonexistence_probe(spec, factor * lam1, 32, seed=4)
+            with monkeypatch.context() as patch:
+                patch.setattr(indefbc.solve, "newton_solve", _plain_newton)
+                want = nonexistence_probe(spec, factor * lam1, 32, seed=4)
+            assert got.failures == want.failures
+            assert len(got.findings) == len(want.findings)
+            for a, b in zip(got.findings, want.findings):
+                assert np.max(np.abs(a.w - b.w)) <= 1e-12 * (1.0 + b.sup_norm)
+    # g = (1, 1), lambda = 0 at w = (1, 1): the Jacobian [[-1, -1], [-1, -1]]
+    flat = ProblemSpec(interval, 2.0, np.array([1.0, 1.0]))
+    assert np.array_equal(residual_jacobian(flat, 0.0, np.ones(2)), -np.ones((2, 2)))
+    for solver in (newton_solve, _plain_newton):
+        with pytest.raises(SingularJacobian):
+            solver(flat, 0.0, np.ones(2))
+
+
+def test_probe_reuses_factorizations(monkeypatch):
+    """Jacobians assembled per init by a 32-init probe on the m = 128 disk: at most
+    10 at 0.5 and 1.5 lambda_1 (14.1 and 17.2 without reuse), and no more than
+    the 21.9 of plain Newton at lambda_1, where the steps are full."""
+    dom = build_domain("unit-disk", 128)
+    g = sign_changing_disk_weight(dom)
+    spec = ProblemSpec(dom, 2.0, g)
+    lam1 = principal_eigenvalue(dom, g).value
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return residual_jacobian(*args, **kwargs)
+
+    monkeypatch.setattr(indefbc.solve, "residual_jacobian", counted)
+    for factor, most in ((0.5, 10.0), (1.0, 21.875), (1.5, 10.0)):
+        calls.clear()
+        nonexistence_probe(spec, factor * lam1, 32, seed=4)
+        assert len(calls) / 32 <= most
