@@ -93,6 +93,14 @@ def _interval_entries(s: float) -> tuple[float, float, float, float]:
     return a, b, da, db
 
 
+def _check_guard(domain: Domain, s: float) -> None:
+    limit = first_dirichlet_eigenvalue(domain)
+    if s > limit - DIRICHLET_GUARD:
+        raise SpectralParameterOutOfRange(
+            f"s={s} within guard of the Dirichlet eigenvalue {limit}"
+        )
+
+
 def assemble_dtn(domain: Domain) -> DtnOperator:
     """Harmonic (s = 0) DtN operator."""
     return assemble_helmholtz_dtn(domain, 0.0)
@@ -104,35 +112,45 @@ def assemble_helmholtz_dtn(domain: Domain, s: float) -> DtnOperator:
     ``s`` must lie below the first interior Dirichlet eigenvalue by at
     least the pole guard; negative s (modified-Bessel regime) is allowed.
     """
-    limit = first_dirichlet_eigenvalue(domain)
-    if s > limit - DIRICHLET_GUARD:
-        raise SpectralParameterOutOfRange(
-            f"s={s} within guard of the Dirichlet eigenvalue {limit}"
-        )
+    _check_guard(domain, s)
     if domain.kind == INTERVAL:
         a, b, _, _ = _interval_entries(s)
         raw = np.array([[a, b], [b, a]])
     else:
         # collocation matrix of the symbol: the circulant with first column
-        # irfft(symbol); that column is even, so toeplitz() gives it, symmetric
-        raw = scipy.linalg.toeplitz(np.fft.irfft(_disk_multipliers(domain.m, s)[0], n=domain.m))
+        # irfft(symbol); that column is even, so toeplitz() gives it, symmetric.
+        # The FFT's round-off grows with the symbol's size, so it sums only the
+        # symbol's remainder after |n|, whose column has a closed form.
+        m = domain.m
+        remainder = _disk_multipliers(m, s)[0] - np.arange(m // 2 + 1)
+        raw = scipy.linalg.toeplitz(np.fft.irfft(remainder, n=m) + _harmonic_column(m))
     return DtnOperator(domain, s, domain.weights[:, None] * raw)
 
 
-def dtn_slope_form(domain: Domain, s: float, values) -> float:
-    """v . (dL_s/ds) v for the trace -> normal-derivative map L_s (Q removed).
+def _harmonic_column(m: int) -> np.ndarray:
+    """irfft of the symbol |n| (n = m/2 for the Nyquist mode) in closed form:
+    m/4 at 0, 0 at even k, -1 / (m sin^2(pi k/m)) at odd k (argument folded to <= pi/2)."""
+    k = np.arange(1, m, 2)
+    col = np.zeros(m)
+    col[0] = m / 4.0
+    col[1::2] = -1.0 / (m * np.sin(np.pi * np.minimum(k, m - k) / m) ** 2)
+    return col
 
-    By Hellmann-Feynman this is the slope in s of an eigenvalue of L_s - W
-    whose eigenvector is the unit vector v.  On the disk L_s is the
-    circulant of the symbol, so the form is a Parseval sum over rfft(v).
+
+def dtn_symbol(domain: Domain, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the trace -> normal-derivative map L_s = dtn_matrix(domain, s) / q,
+    one per column of ``dtn_basis(domain)``, and their slopes in s.
+
+    By Hellmann-Feynman, sum(slope * y**2) is the slope in s of an eigenvalue
+    of L_s - W whose eigenvector has the unit basis coordinates y.
     """
-    v = as_values(domain, values)
+    _check_guard(domain, s)
     if domain.kind == INTERVAL:
-        _, _, da, db = _interval_entries(s)
-        return float(da * (v @ v) + 2.0 * db * v[0] * v[1])
-    power = np.abs(np.fft.rfft(v)) ** 2
-    power[1:-1] *= 2.0  # modes 1 .. m/2 - 1 each stand for a conjugate pair
-    return float(power @ _disk_multipliers(domain.m, s)[1]) / domain.m
+        a, b, da, db = _interval_entries(s)
+        return np.array([a + b, a - b]), np.array([da + db, da - db])
+    sym, slope = _disk_multipliers(domain.m, s)
+    half = domain.m // 2
+    return np.concatenate([sym, sym[1:half]]), np.concatenate([slope, slope[1:half]])
 
 
 def dirichlet_energy(dtn: DtnOperator, trace) -> float:
@@ -144,6 +162,32 @@ def dirichlet_energy(dtn: DtnOperator, trace) -> float:
 
 
 _HARMONIC_CACHE: dict[tuple[str, int], np.ndarray] = {}
+_BASIS_CACHE: dict[tuple[str, int], np.ndarray] = {}
+
+
+def dtn_basis(domain: Domain) -> np.ndarray:
+    """Orthonormal columns U that diagonalize every Helmholtz DtN of the domain:
+    dtn_matrix(domain, s) / q = U diag(dtn_symbol(domain, s)[0]) U^T.
+
+    Disk: cos(n theta) for n = 0 .. m/2 (the last is the Nyquist mode), then
+    sin(n theta) for n = 1 .. m/2 - 1, with n k reduced mod m before the angle
+    is formed.  Interval: (1, 1) / sqrt 2 and (1, -1) / sqrt 2.  Cached
+    read-only per (kind, m).
+    """
+    key = (domain.kind, domain.m)
+    if key not in _BASIS_CACHE:
+        if domain.kind == INTERVAL:
+            basis = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        else:
+            m, half = domain.m, domain.m // 2
+            angles = (2.0 * np.pi / m) * (np.outer(np.arange(m), np.arange(half + 1)) % m)
+            basis = np.hstack([np.cos(angles), np.sin(angles[:, 1:half])])
+            norm_sq = np.full(m, m / 2.0)
+            norm_sq[[0, half]] = m
+            basis /= np.sqrt(norm_sq)
+        basis.flags.writeable = False
+        _BASIS_CACHE[key] = basis
+    return _BASIS_CACHE[key]
 
 
 def dtn_matrix(domain: Domain, s: float = 0.0) -> np.ndarray:

@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .domain import (
     BoundaryFunction,
@@ -23,7 +24,7 @@ from .domain import (
     boundary_integral,
     volume_l2_norm_sq,
 )
-from .dtn import DIRICHLET_GUARD, dtn_matrix, dtn_slope_form, first_dirichlet_eigenvalue
+from .dtn import DIRICHLET_GUARD, dtn_basis, dtn_matrix, dtn_symbol, first_dirichlet_eigenvalue
 from .errors import (
     EmptyBranch,
     PencilNotPositiveDefinite,
@@ -39,6 +40,10 @@ _EPS = float(np.finfo(float).eps)
 # this goes to QZ.  The estimate overstated the error at least 5x where measured;
 # branch seed points next to lambda_1 reach 1.5e-11, lambda = 1e-6 lambda_1 1.6e-10.
 _MU2_RTOL = 1e-10
+# The certified eigen-step factors h - tau I with tau = rho + _SHIFT_GAP max|h|, rho
+# the warm guess's Rayleigh quotient, and inverse-iterates at most _INVERSE_STEPS times.
+_SHIFT_GAP = 1e-8
+_INVERSE_STEPS = 6
 
 
 @dataclass(frozen=True)
@@ -114,11 +119,22 @@ def _checked_pair(domain: Domain, value: float, func: np.ndarray, defect: np.nda
     return EigenPair(float(value), BoundaryFunction(domain, func), normalization, res)
 
 
+def _real_finite(vals: np.ndarray) -> np.ndarray:
+    """Mask of the finite, numerically real entries of a QZ spectrum."""
+    scale = max(1.0, float(np.max(np.abs(vals[np.isfinite(vals)]).real, initial=1.0)))
+    return np.isfinite(vals) & (np.abs(vals.imag) <= 1e-9 * scale)
+
+
+def _real_pencil_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Finite real eigenvalues of a v = mu b v via QZ without vectors, ascending."""
+    vals = scipy.linalg.eig(a, b, right=False)
+    return np.sort(vals[_real_finite(vals)].real)
+
+
 def _real_pencil_eigs(a: np.ndarray, b: np.ndarray):
     """Finite real eigenpairs of a v = mu b v via QZ, ascending by mu."""
     vals, vecs = scipy.linalg.eig(a, b)
-    scale = max(1.0, float(np.max(np.abs(vals[np.isfinite(vals)]).real, initial=1.0)))
-    keep = np.isfinite(vals) & (np.abs(vals.imag) <= 1e-9 * scale)
+    keep = _real_finite(vals)
     mus = vals[keep].real
     funcs = vecs[:, keep].real
     order = np.argsort(mus)
@@ -163,7 +179,7 @@ def principal_eigenvalue(domain: Domain, g) -> EigenPair:
     bound = float(phi @ lap @ phi) / (q * float(gv @ phi))
 
     def evaluate(lam):
-        vec = _beta_smallest(domain, 0.0, lam * gv)[1]
+        vec = _smallest_eigenpair((lap - np.diag(domain.weights * lam * gv)) / q, None)[1]
         w = vec - vec[0]  # exact (Sterbenz) where v is within a factor 2 of v_0
         if not np.all(np.abs(w) <= 0.5 * abs(vec[0])):
             w = vec
@@ -178,12 +194,51 @@ def principal_eigenvalue(domain: Domain, g) -> EigenPair:
     return _checked_pair(domain, lam, func, defect, lam * gv, "H1", "lambda1")
 
 
-def _beta_smallest(domain: Domain, s: float,
-                   boundary_weight: np.ndarray) -> tuple[float, np.ndarray]:
-    """Smallest generalized eigenvalue of (DtN_s - Q diag(w)) with respect to Q."""
-    mat = dtn_matrix(domain, s) - np.diag(domain.weights * boundary_weight)
-    # Q = c * I on both domains, so the generalized problem is a plain eigh.
-    vals, vecs = scipy.linalg.eigh(mat / domain.weights[0], subset_by_index=[0, 0])
+def _negative_count(ldu: np.ndarray, ipiv: np.ndarray) -> int:
+    """Negative eigenvalues of D in dsytrf's lower L D L^T: its 1x1 blocks where
+    ipiv > 0, its 2x2 blocks on the pairs of rows where ipiv < 0."""
+    d = np.diagonal(ldu)
+    start = np.flatnonzero(ipiv < 0)[::2]
+    a, b, c = d[start], ldu[start + 1, start], d[start + 1]
+    det = a * c - b * b
+    return (int(np.count_nonzero(d[ipiv > 0] < 0.0)) + int(np.count_nonzero(det < 0.0))
+            + 2 * int(np.count_nonzero((det > 0.0) & (a < 0.0))))
+
+
+def _smallest_eigenpair(h: np.ndarray, guess: np.ndarray | None) -> tuple[float, np.ndarray]:
+    """Smallest eigenvalue of the symmetric h and a unit eigenvector.
+
+    From a warm guess with Rayleigh quotient rho, one Bunch-Kaufman L D L^T
+    factorization (dsytrf) of h - tau I, tau just above rho, drives inverse
+    iteration (dsytrs).  An iterate y with Rayleigh quotient beta and residual
+    r = |h y - beta y| is accepted when
+    - D has exactly one negative eigenvalue: by Sylvester's law of inertia h
+      has exactly one eigenvalue below tau, the smallest;
+    - beta + r < tau: [beta - r, beta + r] holds an eigenvalue of h, which
+      lies below tau, so it is that smallest one, within r of beta;
+    - r^2 <= eps max|h| (tau - beta): the other eigenvalues lie above tau, so
+      by Kato-Temple beta is within eps max|h| of it, as good as ``eigh``
+    (Parlett, The Symmetric Eigenvalue Problem).  Otherwise, or with no guess
+    (None, zero or non-finite), the pair comes from ``eigh``.
+    """
+    norm = 0.0 if guess is None else float(np.linalg.norm(guess))
+    if 0.0 < norm < math.inf:
+        y = guess / norm
+        scale = float(np.max(np.abs(h)))
+        tau = float(y @ h @ y) + _SHIFT_GAP * scale
+        shifted = h - tau * np.eye(len(h))
+        ldu, ipiv, info = lapack.dsytrf(shifted, lower=1, overwrite_a=1,
+                                        lwork=int(lapack.dsytrf_lwork(len(h), lower=1)[0]))
+        if info == 0 and _negative_count(ldu, ipiv) == 1:
+            for _ in range(_INVERSE_STEPS):
+                x = lapack.dsytrs(ldu, ipiv, y, lower=1)[0]
+                y = x / np.linalg.norm(x)
+                hy = h @ y
+                beta = float(y @ hy)
+                res = float(np.linalg.norm(hy - beta * y))
+                if beta + res < tau and res * res <= _EPS * scale * (tau - beta):
+                    return beta, y
+    vals, vecs = scipy.linalg.eigh(h, subset_by_index=[0, 0])
     return float(vals[0]), vecs[:, 0]
 
 
@@ -240,16 +295,34 @@ def _newton_root(evaluate, x: float, lo: float, hi: float, label: str):
     return x, vec
 
 
-def _shifted_root(domain: Domain, weight: np.ndarray, shift: float, label: str) -> EigenPair:
-    """Root s of beta(s) - shift * s, beta(s) the smallest eigenvalue of DtN_s - M_weight
-    (decreasing in s, slope v.L'_s v / v.v), and its boundary-L2 eigenfunction."""
+def _shifted_root(domain: Domain, weight: np.ndarray, shift: float, guess: np.ndarray,
+                  label: str) -> EigenPair:
+    """Root s of beta(s) - shift * s, beta(s) the smallest eigenvalue of L_s - diag(weight),
+    and its boundary-L2 eigenfunction.
+
+    In the basis U that diagonalizes every L_s, beta(s) is the smallest
+    eigenvalue of diag(sigma_s) - U^T diag(weight) U, decreasing in s with
+    slope sum(sigma'_s y^2) for its unit eigenvector y.  Each evaluation starts
+    warm from the last y (the first from U^T guess); the returned pair is
+    checked against the assembled nodal matrix.
+    """
+    basis = dtn_basis(domain)
+    form = basis.T @ (weight[:, None] * basis)
+    form = 0.5 * (form + form.T)  # symmetric to the bit, as the factorization assumes
+    diagonal = np.diag_indices_from(form)
+    y = basis.T @ guess
+
     def evaluate(s):
-        beta, vec = _beta_smallest(domain, s, weight)
-        return beta - shift * s, dtn_slope_form(domain, s, vec) / float(vec @ vec) - shift, vec
+        nonlocal y
+        sym, slope = dtn_symbol(domain, s)
+        h = -form
+        h[diagonal] += sym
+        beta, y = _smallest_eigenpair(h, y)
+        return beta - shift * s, float(slope @ (y * y)) - shift, y
 
     s_max = first_dirichlet_eigenvalue(domain) - 2 * DIRICHLET_GUARD
-    s, vec = _newton_root(evaluate, 0.0, _S_FLOOR, s_max, label)
-    func = _boundary_l2_normalize(domain, vec)
+    s, y = _newton_root(evaluate, 0.0, _S_FLOOR, s_max, label)
+    func = _boundary_l2_normalize(domain, basis @ y)
     shifted = weight + shift * s
     defect = dtn_matrix(domain, s) @ func - domain.weights * shifted * func
     return _checked_pair(domain, s, func, defect, shifted, "boundary-L2", label)
@@ -261,7 +334,7 @@ def sigma1(domain: Domain, g, lam: float) -> EigenPair:
     Found as the root of s -> smallest eigenvalue of (DtN_s - lambda M_g),
     which is strictly decreasing in s.
     """
-    return _shifted_root(domain, lam * as_values(domain, g), 0.0, "sigma1")
+    return _shifted_root(domain, lam * as_values(domain, g), 0.0, np.ones(domain.m), "sigma1")
 
 
 def gamma1(domain: Domain, g, lam: float, w, p: float, h=None) -> EigenPair:
@@ -275,7 +348,7 @@ def gamma1(domain: Domain, g, lam: float, w, p: float, h=None) -> EigenPair:
     wv = as_values(domain, w)
     hv = gv if h is None else as_values(domain, h)
     weight = lam * gv + p * hv * np.abs(wv) ** (p - 1.0)
-    return _shifted_root(domain, weight, 1.0, "gamma1")
+    return _shifted_root(domain, weight, 1.0, wv, "gamma1")
 
 
 def weighted_steklov_spectrum(domain: Domain, g, lam: float, w, p: float) -> MuSpectrum:
@@ -319,7 +392,7 @@ def weighted_steklov_spectrum(domain: Domain, g, lam: float, w, p: float) -> MuS
             if len(positive) >= 2 and _EPS * np.max(np.abs(nus)) * positive[1] > _MU2_RTOL:
                 mus = None
     if mus is None:
-        mus, columns = _real_pencil_eigs(a, np.diag(b))[0], None
+        mus, columns = _real_pencil_values(a, np.diag(b)), None
     positive = mus[mus > 1e-12]
     mu1_plus = float(positive[0]) if len(positive) else math.nan
     mu2_plus = float(positive[1]) if len(positive) >= 2 else math.inf

@@ -12,8 +12,9 @@ from indefbc.dtn import (
     assemble_dtn,
     assemble_helmholtz_dtn,
     dirichlet_energy,
+    dtn_basis,
     dtn_matrix,
-    dtn_slope_form,
+    dtn_symbol,
     first_dirichlet_eigenvalue,
 )
 from indefbc.errors import SpectralParameterOutOfRange
@@ -67,17 +68,30 @@ def test_symbol_slope_matches_central_differences():
         assert np.allclose(slope, diff, rtol=1e-7, atol=1e-8)
 
 
-def test_slope_form_is_derivative_of_quadratic_form(interval):
-    """dtn_slope_form(v) = d/ds of v.L_s v, L_s the matrix with Q removed."""
+def test_basis_diagonalizes_helmholtz_dtn(interval):
+    """U is orthonormal and U diag(sigma_s) U^T is the assembled L_s =
+    dtn_matrix(domain, s) / q for s from -1e7 up to the guard; sum(sigma'_s
+    (U^T v)^2) is d/ds of v.L_s v by central differences of the assembled
+    matrices up to 1e-3 below the pole, where the closed forms' round-off
+    still leaves the differences 1e-7 accurate."""
     rng = np.random.default_rng(3)
-    h = 1e-5
-    for dom in (interval, build_domain("unit-disk", 16), build_domain("unit-disk", 128)):
+    for dom in (interval,) + tuple(build_domain("unit-disk", m) for m in (8, 16, 128, 512)):
+        basis = dtn_basis(dom)
+        assert np.abs(basis.T @ basis - np.eye(dom.m)).max() <= 1e-13
+        limit = first_dirichlet_eigenvalue(dom)
+        points = (-1e7, -5.0, -1e-6, 0.0, 1e-6, 0.7, 5.0, limit - 1e-3)
+        for s in points + (limit - DIRICHLET_GUARD,):
+            sym = dtn_symbol(dom, s)[0]
+            mat = dtn_matrix(dom, s) / dom.weights[:, None]
+            assert np.abs(basis @ np.diag(sym) @ basis.T - mat).max() <= 1e-13 * np.abs(sym).max()
         v = rng.normal(size=dom.m)
-        for s in _SLOPE_POINTS:
-            plus = assemble_helmholtz_dtn(dom, s + h).matrix / dom.weights[:, None]
-            minus = assemble_helmholtz_dtn(dom, s - h).matrix / dom.weights[:, None]
+        for s in points:
+            h = 1e-4 * min(max(1.0, abs(s)), limit - s)
+            plus = dtn_matrix(dom, s + h) / dom.weights[:, None]
+            minus = dtn_matrix(dom, s - h) / dom.weights[:, None]
             diff = float(v @ (plus - minus) @ v) / (2 * h)
-            assert abs(dtn_slope_form(dom, s, v) - diff) < 1e-7 * (1.0 + abs(diff))
+            slope = float(dtn_symbol(dom, s)[1] @ (basis.T @ v) ** 2)
+            assert abs(slope - diff) < 1e-7 * (1.0 + abs(diff))
 
 
 def test_disk_normal_derivative_is_mode_multiplier(disk16):

@@ -17,7 +17,9 @@ from indefbc.dtn import (
     DIRICHLET_GUARD,
     assemble_dtn,
     dirichlet_energy,
+    dtn_basis,
     dtn_matrix,
+    dtn_symbol,
     first_dirichlet_eigenvalue,
 )
 from indefbc.domain import build_domain, harmonic_extension_eval, volume_l2_norm_sq
@@ -178,15 +180,21 @@ def test_principal_eigenvalue_raises_without_positive_root(interval, disk16, mon
 
 def test_principal_eigenvalue_needs_few_beta_evaluations(monkeypatch):
     """At most 10 beta_0 evaluations per lambda_1 on six draws of the disk family
-    g = cos(t - a1) + b2 cos 2(t - a2) + b3 cos 3(t - a3) - c at m = 128."""
-    calls = []
-    beta = indefbc.spectral._beta_smallest
+    g = cos(t - a1) + b2 cos 2(t - a2) + b3 cos 3(t - a3) - c at m = 128, all
+    on the harmonic (s = 0) matrix."""
+    calls, shifts = [], []
+    beta, matrix = indefbc.spectral._smallest_eigenpair, indefbc.spectral.dtn_matrix
 
     def counted_beta(*args):
-        calls.append(args[1])
+        calls.append(len(args[0]))
         return beta(*args)
 
-    monkeypatch.setattr(indefbc.spectral, "_beta_smallest", counted_beta)
+    def recorded_matrix(domain, s=0.0):
+        shifts.append(s)
+        return matrix(domain, s)
+
+    monkeypatch.setattr(indefbc.spectral, "_smallest_eigenpair", counted_beta)
+    monkeypatch.setattr(indefbc.spectral, "dtn_matrix", recorded_matrix)
     dom = build_domain("unit-disk", 128)
     t = dom.nodes
     rng = np.random.default_rng(13)
@@ -196,7 +204,7 @@ def test_principal_eigenvalue_needs_few_beta_evaluations(monkeypatch):
         g = np.cos(t - a1) + b2 * np.cos(2 * (t - a2)) + b3 * np.cos(3 * (t - a3)) - c
         calls.clear()
         assert principal_eigenvalue(dom, g).value > 0.0
-        assert 1 <= len(calls) <= 10 and all(s == 0.0 for s in calls)
+        assert 1 <= len(calls) <= 10 and shifts and all(s == 0.0 for s in shifts)
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +256,20 @@ def test_sigma1_raises_on_non_finite_beta(disk16, monkeypatch):
     g = sign_changing_disk_weight(disk16)
     lam = 0.5 * principal_eigenvalue(disk16, g).value
     root = sigma1(disk16, g, lam).value
-    finite_beta = indefbc.spectral._beta_smallest
+    finite_beta, symbol = indefbc.spectral._smallest_eigenpair, indefbc.spectral.dtn_symbol
+    shifts = []
 
-    def nan_near_root(domain, s, weight):
-        if abs(s - root) < 0.25 * root:
-            return math.nan, np.full(domain.m, math.nan)
-        return finite_beta(domain, s, weight)
+    def recorded_symbol(domain, s):
+        shifts.append(s)
+        return symbol(domain, s)
 
-    monkeypatch.setattr(indefbc.spectral, "_beta_smallest", nan_near_root)
+    def nan_near_root(h, guess):
+        if abs(shifts[-1] - root) < 0.25 * root:
+            return math.nan, np.full(len(h), math.nan)
+        return finite_beta(h, guess)
+
+    monkeypatch.setattr(indefbc.spectral, "dtn_symbol", recorded_symbol)
+    monkeypatch.setattr(indefbc.spectral, "_smallest_eigenpair", nan_near_root)
     with pytest.raises(RootNotBracketed):
         sigma1(disk16, g, lam)
 
@@ -264,12 +278,13 @@ def test_sigma1_raises_on_wrong_eigenvector(disk16, monkeypatch):
     """A root whose eigenvector does not solve the pencil raises."""
     g = sign_changing_disk_weight(disk16)
     lam = 0.5 * principal_eigenvalue(disk16, g).value
-    true_beta = indefbc.spectral._beta_smallest
+    true_beta = indefbc.spectral._smallest_eigenpair
+    wrong = dtn_basis(disk16).T @ (np.cos(disk16.nodes) + 2.0)  # basis coordinates
 
-    def wrong_vector(domain, s, weight):  # the root is right, the vector is not
-        return true_beta(domain, s, weight)[0], np.cos(domain.nodes) + 2.0
+    def wrong_vector(h, guess):  # the root is right, the vector is not
+        return true_beta(h, guess)[0], wrong / np.linalg.norm(wrong)
 
-    monkeypatch.setattr(indefbc.spectral, "_beta_smallest", wrong_vector)
+    monkeypatch.setattr(indefbc.spectral, "_smallest_eigenpair", wrong_vector)
     with pytest.raises(ResidualAboveTolerance):
         sigma1(disk16, g, lam)
 
@@ -286,12 +301,20 @@ def test_root_search_guards_raise(interval, disk16):
                     sigma1(dom, g, lam)
 
 
+def _dense_beta(domain, s, weight):
+    """The nodal beta(s): the smallest eigenvalue of (dtn_matrix(domain, s) - Q diag(weight)) / q
+    by a dense eigh, which the eigenbasis evaluation replaced."""
+    mat = dtn_matrix(domain, s) - np.diag(domain.weights * weight)
+    return float(scipy.linalg.eigh(mat / domain.weights[0], subset_by_index=[0, 0],
+                                   eigvals_only=True)[0])
+
+
 def _brentq_root(domain, weight, shift):
-    """Reference root of beta(s) - shift * s: scipy's brentq on a doubling bracket."""
+    """Reference root of the dense beta(s) - shift * s: scipy's brentq on a doubling bracket."""
     from scipy.optimize import brentq
 
     def f(s):
-        return indefbc.spectral._beta_smallest(domain, s, weight)[0] - shift * s
+        return _dense_beta(domain, s, weight) - shift * s
 
     s_max = first_dirichlet_eigenvalue(domain) - 2 * DIRICHLET_GUARD
     lo, hi = -1e-3, 1e-3
@@ -322,10 +345,11 @@ def _disk_branch_states(ms):
 
 def test_shifted_roots_match_brentq_reference(interval):
     """sigma_1 at lambda_1/2 (root > 0) and 1.5 lambda_1 (root < 0), and gamma_1
-    at a branch point (root < 0), against brentq on the same beta(s)."""
+    at a branch point (root < 0), against brentq on the dense nodal beta(s),
+    to 1e-13 at disk sizes m = 16 to 512."""
     g1 = np.array([1.0, -4.0])
     states = [(interval, g1, 0.0, _interval_solution(interval, g1, 0.0).w)]
-    states += _disk_branch_states((16, 128, 256))
+    states += _disk_branch_states((16, 64, 128, 256, 512))
     for dom, g, lam, w in states:
         lam1 = principal_eigenvalue(dom, g).value
         for factor in (0.5, 1.5):
@@ -336,24 +360,101 @@ def test_shifted_roots_match_brentq_reference(interval):
         assert abs(gamma1(dom, g, lam, w, 2.0).value - expected) <= 1e-13
 
 
-def test_disk_branch_needs_few_beta_evaluations_per_gamma1(monkeypatch):
-    counts = {"beta": 0, "gamma1": 0}
-    beta, gam = indefbc.spectral._beta_smallest, indefbc.solve._gamma1
+def _gamma1_work_along_disk_branch(monkeypatch):
+    """(gamma_1 calls, beta evaluations inside them, eigh calls inside them) along
+    the m = 128 disk branch of cos theta - 0.3."""
+    counts = {"gamma1": 0, "beta": 0, "eigh": 0}
+    inside = [False]
+    beta, gam, eigh = indefbc.spectral._smallest_eigenpair, indefbc.solve._gamma1, scipy.linalg.eigh
 
     def counted_beta(*args):
-        counts["beta"] += 1
+        counts["beta"] += inside[0]
         return beta(*args)
+
+    def counted_eigh(*args, **kwargs):
+        counts["eigh"] += inside[0]
+        return eigh(*args, **kwargs)
 
     def counted_gamma1(*args, **kwargs):
         counts["gamma1"] += 1
-        return gam(*args, **kwargs)
+        inside[0] = True
+        try:
+            return gam(*args, **kwargs)
+        finally:
+            inside[0] = False
 
-    monkeypatch.setattr(indefbc.spectral, "_beta_smallest", counted_beta)
+    monkeypatch.setattr(indefbc.spectral, "_smallest_eigenpair", counted_beta)
+    monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(indefbc.solve, "_gamma1", counted_gamma1)
     dom = build_domain("unit-disk", 128)
     continue_branch(ProblemSpec(dom, 2.0, sign_changing_disk_weight(dom)))
-    assert counts["gamma1"] >= 10
-    assert counts["beta"] <= 6 * counts["gamma1"]
+    return counts["gamma1"], counts["beta"], counts["eigh"]
+
+
+def test_disk_branch_needs_few_beta_evaluations_per_gamma1(monkeypatch):
+    calls, evaluations, _ = _gamma1_work_along_disk_branch(monkeypatch)
+    assert calls >= 10
+    assert calls <= evaluations <= 6 * calls
+
+
+def test_disk_branch_gamma1_rarely_falls_back_on_eigh(monkeypatch):
+    """On average at most one beta evaluation per gamma_1 goes to eigh: the rest are
+    certified L D L^T eigen-steps."""
+    calls, _, fallbacks = _gamma1_work_along_disk_branch(monkeypatch)
+    assert calls >= 10
+    assert fallbacks <= calls
+
+
+def test_ldlt_inertia_counts_negative_eigenvalues():
+    """The negative-eigenvalue count read off dsytrf's D, with its 1x1 and 2x2
+    blocks, is the count of negative eigenvalues of the factored matrix."""
+    rng = np.random.default_rng(5)
+    for m in (2, 7, 64):
+        a = rng.normal(size=(m, m))
+        sym = a + a.T
+        vals = np.linalg.eigvalsh(sym)
+        for shift in (vals[0] - 1.0, 0.5 * (vals[0] + vals[1]), 0.0, vals[-1] + 1.0):
+            ldu, ipiv, info = scipy.linalg.lapack.dsytrf(sym - shift * np.eye(m), lower=1)
+            assert info == 0
+            assert indefbc.spectral._negative_count(ldu, ipiv) == np.count_nonzero(vals < shift)
+    # a lone 2x2 block (ipiv = (-1, -1)) of each kind, stored in the lower triangle
+    for block, negatives in (([[-2.0, 0.0], [1.0, -3.0]], 2), ([[2.0, 0.0], [1.0, 3.0]], 0),
+                             ([[1.0, 0.0], [2.0, 1.0]], 1)):
+        assert indefbc.spectral._negative_count(np.array(block), np.array([-1, -1])) == negatives
+
+
+def test_smallest_eigenpair_certifies_or_falls_back(monkeypatch):
+    """The eigen-step returns the smallest eigenpair of a disk beta matrix: from a
+    near guess without eigh, and through eigh from a guess equal to the second
+    eigenvector or orthogonal to the first, whose Rayleigh quotient lies above
+    the second eigenvalue, so the inertia of h - tau I refuses the step, and
+    from a zero guess."""
+    dom = build_domain("unit-disk", 64)
+    basis = dtn_basis(dom)
+    weight = 1.5 * sign_changing_disk_weight(dom)
+    form = basis.T @ (weight[:, None] * basis)
+    h = np.diag(dtn_symbol(dom, -2.0)[0]) - 0.5 * (form + form.T)
+    vals, vecs = np.linalg.eigh(h)
+    rng = np.random.default_rng(7)
+    other = rng.normal(size=dom.m)
+    other -= (other @ vecs[:, 0]) * vecs[:, 0]
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def counted_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
+    for guess, expect_eigh in ((vecs[:, 0] + 1e-3 * rng.normal(size=dom.m), False),
+                               (vecs[:, 1], True), (other, True), (np.zeros(dom.m), True)):
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beta, y = indefbc.spectral._smallest_eigenpair(h, guess)
+        assert bool(calls) == expect_eigh
+        assert abs(beta - vals[0]) <= 1e-14 * np.abs(h).max()
+        assert abs(abs(float(y @ vecs[:, 0])) - 1.0) <= 1e-12
 
 
 def test_disk_eigenvalues_converge_in_m():
@@ -583,6 +684,44 @@ def test_mu2_plus_needs_one_eigenvalue_only_solve(monkeypatch):
     assert calls == [True, False]
     assert spec.eigenfunctions is funcs and spec.principal.sum() >= 1
     assert calls == [True, False]
+
+
+def test_mu_qz_values_match_qz_with_vectors():
+    """Where the mu-spectrum goes to QZ (lambda = 0 and 1e-9 lambda_1), its
+    values-only QZ gives the values of the QZ with vectors to 1e-12 relative."""
+    for m in (16, 64):
+        dom = build_domain("unit-disk", m)
+        g = sign_changing_disk_weight(dom)
+        w = 0.2 + 0.1 * np.cos(dom.nodes)
+        lam1 = principal_eigenvalue(dom, g).value
+        for lam in (0.0, 1e-9 * lam1):
+            spec = weighted_steklov_spectrum(dom, g, lam, w, 2.0)
+            assert spec._columns is None  # the QZ path
+            a, b = spec._pencil
+            expected = indefbc.spectral._real_pencil_eigs(a, np.diag(b))[0]
+            assert len(spec.mu_values) == len(expected) == m
+            scale = np.maximum(np.abs(expected), 1e-12)
+            assert np.all(np.abs(spec.mu_values - expected) <= 1e-12 * scale)
+
+
+def test_mu2_plus_needs_no_qz_vectors(monkeypatch, disk16):
+    """On the QZ path, mu_2^+ costs one QZ without vectors; the eigenfunctions
+    one QZ with vectors, once, when first read."""
+    calls = []
+    eig = scipy.linalg.eig
+
+    def counted_eig(*args, **kwargs):
+        calls.append(kwargs.get("right", True))
+        return eig(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eig", counted_eig)
+    g = sign_changing_disk_weight(disk16)
+    spec = weighted_steklov_spectrum(disk16, g, 0.0, 0.2 + 0.1 * np.cos(disk16.nodes), 2.0)
+    assert math.isfinite(spec.mu2_plus)
+    assert calls == [False]
+    funcs = spec.eigenfunctions
+    assert funcs.shape == (16, len(spec.mu_values)) and spec.eigenfunctions is funcs
+    assert calls == [False, True]
 
 
 def test_mu2_plus_accurate_next_to_lambda_zero(disk16):
