@@ -96,7 +96,7 @@ def _corrector(spec: ProblemSpec, w, lam, w_pred, lam_pred, t_w, t_lam, tol):
         jac = residual_jacobian(spec, lv, wv)
         dfdl = -spec.domain.weights * spec.g * wv
         ext = np.zeros((m + 1, m + 1))
-        ext[:m, :m] = jac
+        ext[:m, :m] = jac.T  # J is symmetric; its transpose is the C-ordered view
         ext[:m, m] = dfdl
         ext[m, :m] = t_w / m
         ext[m, m] = t_lam

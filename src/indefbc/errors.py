@@ -57,10 +57,6 @@ class CorrectorDivergence(IndefbcError):
     """Arclength corrector failed to converge."""
 
 
-class StepUnderflow(IndefbcError):
-    """Continuation step shrank below the minimum step bound."""
-
-
 class DeltaBelowThreshold(IndefbcError):
     """Family parameter delta not strictly above its critical value."""
 

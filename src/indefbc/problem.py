@@ -140,7 +140,15 @@ def jacobian_diagonal(spec: ProblemSpec, lam: float, w) -> np.ndarray:
 
 
 def residual_jacobian(spec: ProblemSpec, lam: float, w) -> np.ndarray:
-    return dtn_matrix(spec.domain) - np.diag(jacobian_diagonal(spec, lam, w))
+    """F'(w) = Lambda - diag(d) in Fortran order, so LAPACK factors it in place.
+
+    Lambda is symmetric to the bit, so its transpose view is Lambda in
+    Fortran order; one copy of it takes d off the diagonal (every
+    (m+1)-th entry of the flat buffer) in place.
+    """
+    jac = dtn_matrix(spec.domain).T.copy(order="K")
+    jac.ravel(order="K")[:: len(jac) + 1] -= jacobian_diagonal(spec, lam, w)
+    return jac
 
 
 def conservation_defect(spec: ProblemSpec, lam: float, w) -> float:

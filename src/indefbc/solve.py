@@ -65,26 +65,26 @@ def newton_solve(spec: ProblemSpec, lam: float, init, *,
     step is non-finite or cannot be damped; only a fresh step raises.
     """
     w = as_values(spec.domain, init).copy()
-    if np.min(w) <= 0.0:
+    if w.min() <= 0.0:
         raise LeftPositiveCone("initial trace must be strictly positive")
     lap = dtn_matrix(spec.domain)
     res = residual_vector(spec, lam, w)
-    res_norm = float(np.linalg.norm(res))
+    res_norm = math.sqrt(res @ res)
     factors = None  # LU of an earlier iterate's Jacobian, kept after a damped step
     for _ in range(_MAX_NEWTON):
-        if res_norm < tol * (1.0 + float(np.max(np.abs(w))) ** spec.p):
+        if res_norm < tol * (1.0 + float(abs(w).max()) ** spec.p):
             return make_point(spec, lam, w, with_gamma1)
         moved = None
         if factors is not None:
             step = dgetrs(*factors, res)[0]
-            if np.all(np.isfinite(step)):
+            if np.isfinite(step).all():
                 linear = res - (lap @ step - jacobian_diagonal(spec, lam, w) * step)
-                if np.linalg.norm(linear) <= _REUSE_ETA * res_norm:
+                if math.sqrt(linear @ linear) <= _REUSE_ETA * res_norm:
                     moved = _damped_step(spec, lam, w, step, res_norm)
         if moved is None:
             factors = _lu_factor(residual_jacobian(spec, lam, w))
             step = dgetrs(*factors, res)[0]
-            if not np.all(np.isfinite(step)):
+            if not np.isfinite(step).all():
                 raise SingularJacobian("non-finite Newton step")
             moved = _damped_step(spec, lam, w, step, res_norm)
             if moved is None:
@@ -96,7 +96,8 @@ def newton_solve(spec: ProblemSpec, lam: float, init, *,
 
 
 def _lu_factor(jac: np.ndarray):
-    """LAPACK getrf factors of the Jacobian; a zero pivot raises SingularJacobian."""
+    """LAPACK getrf factors of the Jacobian, overwriting jac (Fortran-ordered, so
+    no copy is made); a zero pivot raises SingularJacobian."""
     lu, piv, info = dgetrf(jac, overwrite_a=True)
     if info > 0:
         raise SingularJacobian(f"singular Jacobian: zero pivot in column {info - 1}")
@@ -110,9 +111,9 @@ def _damped_step(spec: ProblemSpec, lam: float, w: np.ndarray, step: np.ndarray,
     alpha = 1.0
     for _ in range(_MAX_DAMPING):
         trial = w - alpha * step
-        if np.min(trial) > 0.0:
+        if trial.min() > 0.0:
             trial_res = residual_vector(spec, lam, trial)
-            trial_norm = float(np.linalg.norm(trial_res))
+            trial_norm = math.sqrt(trial_res @ trial_res)
             if trial_norm < res_norm:
                 return trial, trial_res, trial_norm, alpha
         alpha *= 0.5

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -205,6 +205,12 @@ def _negative_count(ldu: np.ndarray, ipiv: np.ndarray) -> int:
             + 2 * int(np.count_nonzero((det > 0.0) & (a < 0.0))))
 
 
+@lru_cache(maxsize=None)
+def _sytrf_lwork(m: int) -> int:
+    """dsytrf's optimal workspace for an m x m matrix, queried once per m."""
+    return int(lapack.dsytrf_lwork(m, lower=1)[0])
+
+
 def _smallest_eigenpair(h: np.ndarray, guess: np.ndarray | None) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue of the symmetric h and a unit eigenvector.
 
@@ -226,9 +232,10 @@ def _smallest_eigenpair(h: np.ndarray, guess: np.ndarray | None) -> tuple[float,
         y = guess / norm
         scale = float(np.max(np.abs(h)))
         tau = float(y @ h @ y) + _SHIFT_GAP * scale
-        shifted = h - tau * np.eye(len(h))
+        shifted = h.T.copy(order="K")  # h (symmetric) in Fortran order, factored in place
+        shifted.ravel(order="K")[:: len(h) + 1] -= tau
         ldu, ipiv, info = lapack.dsytrf(shifted, lower=1, overwrite_a=1,
-                                        lwork=int(lapack.dsytrf_lwork(len(h), lower=1)[0]))
+                                        lwork=_sytrf_lwork(len(h)))
         if info == 0 and _negative_count(ldu, ipiv) == 1:
             for _ in range(_INVERSE_STEPS):
                 x = lapack.dsytrs(ldu, ipiv, y, lower=1)[0]

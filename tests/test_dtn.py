@@ -114,6 +114,14 @@ def test_matrix_is_symmetric_and_conserves_flux(disk16, interval):
                        atol=1e-13)
 
 
+def test_harmonic_matrix_is_exactly_symmetric(interval):
+    """The cached s = 0 matrix equals its transpose to the bit, so its transpose
+    view is the same matrix in Fortran order (the Jacobian copy relies on it)."""
+    for dom in (interval, *(build_domain("unit-disk", m) for m in (16, 128, 512))):
+        mat = dtn_matrix(dom)
+        assert np.array_equal(mat, mat.T)
+
+
 def test_dirichlet_energy_closed_forms(interval, disk16):
     op = assemble_dtn(disk16)
     # extension of cos is x; its Dirichlet integral over the disk is pi

@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import indefbc.solve
 from indefbc.domain import build_domain
+from indefbc.dtn import dtn_matrix
 from indefbc.errors import LeftPositiveCone, MaxIterations, NonpositiveEOrG, SingularJacobian
 from indefbc.problem import (
     ProblemSpec,
     conservation_defect,
     free_gradient,
     functionals,
+    jacobian_diagonal,
     logistic_spec,
     nehari_project,
     residual_jacobian,
@@ -230,7 +233,8 @@ def test_probe_matches_plain_newton_reference(interval, monkeypatch):
 def test_probe_reuses_factorizations(monkeypatch):
     """Jacobians assembled per init by a 32-init probe on the m = 128 disk: at most
     10 at 0.5 and 1.5 lambda_1 (14.1 and 17.2 without reuse), and no more than
-    the 21.9 of plain Newton at lambda_1, where the steps are full."""
+    the 21.9 of plain Newton at lambda_1, where the steps are full.  Each init
+    assembles at least one, through indefbc.solve's residual_jacobian."""
     dom = build_domain("unit-disk", 128)
     g = sign_changing_disk_weight(dom)
     spec = ProblemSpec(dom, 2.0, g)
@@ -245,4 +249,30 @@ def test_probe_reuses_factorizations(monkeypatch):
     for factor, most in ((0.5, 10.0), (1.0, 21.875), (1.5, 10.0)):
         calls.clear()
         nonexistence_probe(spec, factor * lam1, 32, seed=4)
-        assert len(calls) / 32 <= most
+        assert 1.0 <= len(calls) / 32 <= most
+
+
+def test_jacobian_is_fortran_ordered_dtn_minus_diagonal(interval):
+    """The Jacobian is Lambda - diag(d) to the bit, laid out in Fortran order."""
+    disk = build_domain("unit-disk", 128)
+    rng = np.random.default_rng(3)
+    for dom, g in ((interval, G_1D), (disk, sign_changing_disk_weight(disk))):
+        spec = ProblemSpec(dom, 2.0, g)
+        w = rng.uniform(0.05, 2.0, dom.m)
+        jac = residual_jacobian(spec, 0.7, w)
+        assert jac.flags.f_contiguous
+        want = dtn_matrix(dom) - np.diag(jacobian_diagonal(spec, 0.7, w))
+        assert np.array_equal(jac, want)
+
+
+def test_lu_factor_works_in_place(interval):
+    """getrf overwrites the Jacobian with its factors, which match scipy's lu_factor
+    of a copy to the bit."""
+    disk = build_domain("unit-disk", 128)
+    for dom, g in ((interval, G_1D), (disk, sign_changing_disk_weight(disk))):
+        spec = ProblemSpec(dom, 2.0, g)
+        jac = residual_jacobian(spec, 0.7, np.linspace(0.5, 1.5, dom.m))
+        want_lu, want_piv = scipy.linalg.lu_factor(jac)
+        lu, piv = indefbc.solve._lu_factor(jac)
+        assert np.shares_memory(lu, jac)
+        assert np.array_equal(lu, want_lu) and np.array_equal(piv, want_piv)

@@ -457,6 +457,36 @@ def test_smallest_eigenpair_certifies_or_falls_back(monkeypatch):
         assert abs(abs(float(y @ vecs[:, 0])) - 1.0) <= 1e-12
 
 
+def test_smallest_eigenpair_factors_in_place(monkeypatch):
+    """The eigen-step hands dsytrf h - tau I in Fortran order, which it factors in
+    place, and queries dsytrf's workspace once per matrix size."""
+    dom = build_domain("unit-disk", 64)
+    basis = dtn_basis(dom)
+    form = basis.T @ (sign_changing_disk_weight(dom)[:, None] * basis)
+    h = np.diag(dtn_symbol(dom, -2.0)[0]) - 0.5 * (form + form.T)
+    vecs = np.linalg.eigh(h)[1]
+    seen, queries = [], []
+    lapack = scipy.linalg.lapack
+    dsytrf, dsytrf_lwork = lapack.dsytrf, lapack.dsytrf_lwork
+
+    def recorded(a, *args, **kwargs):
+        out = dsytrf(a, *args, **kwargs)
+        seen.append((a.flags.f_contiguous, np.shares_memory(out[0], a)))
+        return out
+
+    def counted(*args, **kwargs):
+        queries.append(args[0])
+        return dsytrf_lwork(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dsytrf", recorded)
+    monkeypatch.setattr(lapack, "dsytrf_lwork", counted)
+    indefbc.spectral._sytrf_lwork.cache_clear()
+    for k in range(3):
+        indefbc.spectral._smallest_eigenpair(h, vecs[:, 0] + 1e-3 * vecs[:, k + 1])
+    assert seen == [(True, True)] * 3
+    assert queries == [dom.m]
+
+
 def test_disk_eigenvalues_converge_in_m():
     """lambda_1, sigma_1(lambda_1/2), and gamma_1, mu_1^+ and mu_2^+ at a fixed
     trace do not drift with m.
