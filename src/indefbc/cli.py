@@ -20,7 +20,7 @@ from .continuation import continue_branch, StepOptions
 from .domain import INTERVAL
 from .errors import ConfigError, IndefbcError, PencilNotPositiveDefinite
 from .experiments import asymptotics_fit, delta_sweep, oracle_1d
-from .problem import LOGISTIC, W_FORM
+from .problem import F_FORM, LOGISTIC
 from .solve import minimize_nehari, multi_start_solutions, nonexistence_probe
 from .spectral import (
     near_lambda1,
@@ -86,8 +86,8 @@ def _mu2_plus(spec, point, lam1: float) -> float:
     if not 0.0 <= point.lam < lam1:
         return math.nan
     try:
-        return weighted_steklov_spectrum(spec.domain, spec.g, point.lam,
-                                         point.w, spec.p).mu2_plus
+        return weighted_steklov_spectrum(spec.domain, spec.g, point.lam, point.w, spec.p,
+                                         spec.superlinear_weight).mu2_plus
     except PencilNotPositiveDefinite:
         return math.nan
 
@@ -198,6 +198,8 @@ def cmd_branch(config: RunConfig, out_dir: str, verbose: bool) -> int:
 
 
 def cmd_sweep(config: RunConfig, out_dir: str, verbose: bool) -> int:
+    if config.form == F_FORM:
+        raise ConfigError(f"sweep does not support form = {F_FORM}")
     domain = config.build_domain()
     spec = config.build_spec(domain)
     if not config.deltas:
@@ -233,17 +235,18 @@ def cmd_sweep(config: RunConfig, out_dir: str, verbose: bool) -> int:
 
 
 def cmd_oracle1d(config: RunConfig, out_dir: str, verbose: bool) -> int:
+    if config.form == F_FORM:
+        raise ConfigError(f"oracle1d does not support form = {F_FORM}")
     domain = config.build_domain()
     if domain.kind != INTERVAL:
         raise ConfigError("oracle1d requires the interval domain")
     spec = config.build_spec(domain)
-    form = LOGISTIC if spec.form == LOGISTIC else W_FORM
-    params = -spec.g if form == LOGISTIC else spec.g  # logistic stores g = -r
+    params = -spec.g if spec.form == LOGISTIC else spec.g  # logistic stores g = -r
     records = []
     incomplete = False
     for lam in _lam_grid(config):
         try:
-            report = oracle_1d(form, params, float(lam), spec.p)
+            report = oracle_1d(spec.form, params, float(lam), spec.p)
         except IndefbcError as exc:
             incomplete = True
             records.append({"lambda": float(lam), "error": str(exc)})

@@ -9,12 +9,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import DISK, INTERVAL, Domain, build_domain
+from .domain import INTERVAL, KINDS, Domain, build_domain
 from .errors import ConfigError
-from .problem import F_FORM, LOGISTIC, W_FORM, ProblemSpec, logistic_spec
+from .problem import F_FORM, FORMS, LOGISTIC, W_FORM, ProblemSpec, logistic_spec
 from .weights import trig_weight
 
-_FORMS = (W_FORM, F_FORM, LOGISTIC)
+# Every key read, by section; [problem] also takes the weight keys of _weight_keys.
+_KEYS = {
+    "domain": {"kind", "m"},
+    "problem": {"p", "form"},
+    "lambda": {"window", "samples"},
+    "sweep": {"deltas"},
+    "tolerances": {"step_min", "step_max"},
+    "run": {"seed", "out_dir", "n_inits"},
+}
+
+
+def _weight_keys(kind: str, form: str) -> set:
+    """The [problem] keys that build_weight reads for this domain kind and form."""
+    names = ("r",) if form == LOGISTIC else ("g", "f") if form == F_FORM else ("g",)
+    suffixes = ("",) if kind == INTERVAL else ("_terms", "_plateaus", "_transition_width")
+    return {name + suffix for name in names for suffix in suffixes}
 
 
 @dataclass(frozen=True)
@@ -133,10 +148,20 @@ def config_from_dict(raw: dict) -> RunConfig:
         n_inits = int(_get(parser, "run", "n_inits", "64"))
     except (ValueError, configparser.Error) as exc:
         raise ConfigError(str(exc)) from exc
-    if kind not in (INTERVAL, DISK) and kind != "disk":
+    if kind not in KINDS:
         raise ConfigError(f"unknown domain kind {kind!r}")
-    if form not in _FORMS:
+    if form not in FORMS:
         raise ConfigError(f"unknown form {form!r}")
+    if form == LOGISTIC and p != 2.0:
+        raise ConfigError(f"the logistic form fixes p = 2, got p = {p}")
+    for section in parser.sections():
+        known = _KEYS.get(section, set())
+        if section == "problem":
+            known = known | _weight_keys(kind, form)
+        unknown = sorted(set(parser.options(section)) - known)
+        if unknown:
+            raise ConfigError(f"[{section}] keys not read for form {form} on {kind}: "
+                              f"{', '.join(unknown)}")
     if len(window) != 2 or not 0.0 <= window[0] < window[1]:
         raise ConfigError(f"bad lambda window {window}")
     for label, tol in (("step_min", step_min), ("step_max", step_max)):

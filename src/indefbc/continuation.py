@@ -252,8 +252,8 @@ def to_sppr(branch: Branch, p: float) -> list:
         if point.lam <= 0.0:
             raise NonpositiveLambdaPoint(f"lambda={point.lam} not positive")
         v = point.lam ** (-1.0 / (p - 1.0)) * point.w
-        # sppr residual: Lambda v - Q lambda g (v + v^p)
-        density = point.lam * spec.g * (v + np.abs(v) ** (p - 1.0) * v)
+        # sppr residual: Lambda v - Q lambda (g v + h v^p), h the superlinear weight
+        density = point.lam * (spec.g * v + spec.superlinear_weight * np.abs(v) ** (p - 1.0) * v)
         res = dtn_matrix(spec.domain) @ v - spec.domain.weights * density
         out.append(TransformedPoint(point.lam, v, float(np.linalg.norm(res)),
                                     float(np.max(np.abs(v)))))

@@ -3,6 +3,7 @@ logistic scenario reports."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -367,9 +368,7 @@ def logistic_scenarios(domain: Domain, r, lam_grid, *,
         lam1 = principal_eigenvalue(domain, -rv).value
         branch = continue_branch(spec)
         pos = [pt for pt in branch.points if pt.lam > 0.0]
-        import dataclasses as _dc
-
-        traces = to_logistic(_dc.replace(branch, points=pos), rv)
+        traces = to_logistic(dataclasses.replace(branch, points=pos), rv)
         checks["all_above_one"] = all(float(np.min(t.trace)) > 1.0 for t in traces)
         checks["all_unstable"] = all(pt.gamma1 < 0.0 for pt in pos)
         near = branch.at_lambda(0.999 * lam1, with_gamma1=False)
@@ -399,22 +398,17 @@ def logistic_scenarios(domain: Domain, r, lam_grid, *,
     checks["probes_empty"] = empty
     if domain.kind == INTERVAL:
         lam1_r = principal_eigenvalue(domain, rv).value
-        checks["oracle_no_above_one"] = all(
-            "positive-above-one" not in
-            oracle_1d(LOGISTIC, rv, float(lam)).classifications
-            for lam in lam_grid)
+        classes = [(float(lam), oracle_1d(LOGISTIC, rv, float(lam)).classifications)
+                   for lam in lam_grid]
+        checks["oracle_no_above_one"] = all("positive-above-one" not in cls
+                                            for _, cls in classes)
         # small solutions 0 < u < 1: unique for lambda > lambda_1(r), none below
         if lam1_r > 0.0:
-            below = [float(l) for l in lam_grid
-                     if 0.0 < l <= lam1_r or near_lambda1(l, lam1_r)]
-            above = [float(l) for l in lam_grid
-                     if l > lam1_r and not near_lambda1(l, lam1_r)]
+            counts = [(lam, cls.count("positive-below-one")) for lam, cls in classes]
             checks["oracle_below_one_counts"] = {
-                "at_or_below_lam1": [sum(c == "positive-below-one" for c in
-                                         oracle_1d(LOGISTIC, rv, l).classifications)
-                                     for l in below],
-                "above_lam1": [sum(c == "positive-below-one" for c in
-                                   oracle_1d(LOGISTIC, rv, l).classifications)
-                               for l in above],
+                "at_or_below_lam1": [n for lam, n in counts
+                                     if 0.0 < lam <= lam1_r or near_lambda1(lam, lam1_r)],
+                "above_lam1": [n for lam, n in counts
+                               if lam > lam1_r and not near_lambda1(lam, lam1_r)],
             }
     return LogisticScenarioReport("nonpositive-average", 0.0, checks, None)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -16,19 +16,16 @@ W_FORM = "w-form"
 F_FORM = "f-form"
 LOGISTIC = "logistic"
 
-_FORMS = (W_FORM, F_FORM, LOGISTIC)
-
-# Ambient dimension by domain kind, used only for the subcriticality bound
-# 1 < p < N/(N-2) for N > 2 (vacuous here, checked for forward compatibility).
-_DIMENSION = {"interval": 1, "unit-disk": 2}
+FORMS = (W_FORM, F_FORM, LOGISTIC)
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
     """A boundary-reduced problem instance.
 
-    ``g`` is the linear indefinite weight; ``f`` (f-form only) weights the
-    superlinear term.  The logistic form fixes p = 2 and stores g = -r.
+    ``g`` is the linear indefinite weight; ``f`` weights the superlinear
+    term under the f-form, which needs it, and no other form accepts it.
+    The logistic form fixes p = 2 and stores g = -r.
     """
 
     domain: Domain
@@ -36,31 +33,25 @@ class ProblemSpec:
     g: np.ndarray = field(repr=False)
     f: Optional[np.ndarray] = field(default=None, repr=False)
     form: str = W_FORM
-    lam: float = 0.0
 
     def __post_init__(self):
-        if self.form not in _FORMS:
+        if self.form not in FORMS:
             raise ShapeMismatch(f"unknown problem form {self.form!r}")
         if not self.p > 1.0:
             raise ShapeMismatch(f"exponent p={self.p} must exceed 1")
-        n = _DIMENSION[self.domain.kind]
-        if n > 2 and self.p >= n / (n - 2):
-            raise ShapeMismatch(f"p={self.p} supercritical for dimension {n}")
         if self.form == LOGISTIC and self.p != 2.0:
             raise ShapeMismatch("logistic form fixes p = 2")
+        if (self.f is None) == (self.form == F_FORM):
+            raise ShapeMismatch(f"{F_FORM} needs the weight f and no other form takes one "
+                                f"(form {self.form!r})")
         object.__setattr__(self, "g", as_values(self.domain, self.g))
         if self.f is not None:
             object.__setattr__(self, "f", as_values(self.domain, self.f))
-        if self.form == F_FORM and self.f is None:
-            raise ShapeMismatch("f-form needs the weight f")
 
     @property
     def superlinear_weight(self) -> np.ndarray:
         """Weight in front of w^p: f for the f-form, g otherwise."""
         return self.f if self.form == F_FORM else self.g
-
-    def at(self, lam: float) -> "ProblemSpec":
-        return replace(self, lam=lam)
 
 
 def logistic_spec(domain: Domain, r) -> ProblemSpec:

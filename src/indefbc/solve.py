@@ -14,7 +14,6 @@ from .errors import InitNotProjectable, LeftPositiveCone, MaxIterations, Singula
 from .problem import (
     ProblemSpec,
     SolutionPoint,
-    conservation_defect,
     free_gradient,
     functionals,
     jacobian_diagonal,

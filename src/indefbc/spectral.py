@@ -358,11 +358,12 @@ def gamma1(domain: Domain, g, lam: float, w, p: float, h=None) -> EigenPair:
     return _shifted_root(domain, weight, 1.0, wv, "gamma1")
 
 
-def weighted_steklov_spectrum(domain: Domain, g, lam: float, w, p: float) -> MuSpectrum:
-    """All real eigenvalues mu of (Lambda - lambda M_g) phi = mu M_{g w^(p-1)} phi.
+def weighted_steklov_spectrum(domain: Domain, g, lam: float, w, p: float, h=None) -> MuSpectrum:
+    """All real eigenvalues mu of (Lambda - lambda M_g) phi = mu M_{h w^(p-1)} phi,
+    where h defaults to g (h = f for the f-variant).
 
     For lambda in (0, lambda_1(g)) the left side A is positive definite, and
-    the values are nu = 1/mu of the symmetric-definite pencil (M_{g w^(p-1)}, A),
+    the values are nu = 1/mu of the symmetric-definite pencil (M_{h w^(p-1)}, A),
     from one eigenvalue-only Cholesky-reduced ``eigh`` (Golub & Van Loan 8.7);
     the eigenfunctions are one more ``eigh``, with vectors, on first read.
     At lambda = 0, A is only semidefinite (kernel = constants) and QZ is used
@@ -376,8 +377,9 @@ def weighted_steklov_spectrum(domain: Domain, g, lam: float, w, p: float) -> MuS
     """
     gv = as_values(domain, g)
     wv = as_values(domain, w)
+    hv = gv if h is None else as_values(domain, h)
     a = dtn_matrix(domain) - np.diag(domain.weights * lam * gv)
-    b = domain.weights * gv * np.abs(wv) ** (p - 1.0)  # diagonal of M_{g w^(p-1)}
+    b = domain.weights * hv * np.abs(wv) ** (p - 1.0)  # diagonal of M_{h w^(p-1)}
     mus = None
     if lam != 0.0:
         try:
@@ -408,8 +410,9 @@ def weighted_steklov_spectrum(domain: Domain, g, lam: float, w, p: float) -> MuS
     return MuSpectrum(mus, mu1_minus, mu1_plus, mu2_plus, domain.weights, (a, b), columns)
 
 
-def m_delta(domain: Domain, g, p: float, branch) -> float:
-    """Minimum of mu_2^+ over branch samples with lambda in [0, lambda_1(g)).
+def m_delta(domain: Domain, g, p: float, branch, h=None) -> float:
+    """Minimum of mu_2^+ over branch samples with lambda in [0, lambda_1(g)),
+    each from the pencil with weight h |w|^(p-1), h defaulting to g.
 
     Discrete surrogate of the infimum defining m_delta; +inf when the
     second positive eigenvalue is absent everywhere (e.g. the interval).
@@ -424,7 +427,7 @@ def m_delta(domain: Domain, g, p: float, branch) -> float:
         if not 0.0 <= pt.lam < lam1:
             continue
         seen = True
-        spec = weighted_steklov_spectrum(domain, g, pt.lam, pt.w, p)
+        spec = weighted_steklov_spectrum(domain, g, pt.lam, pt.w, p, h)
         best = min(best, spec.mu2_plus)
     if not seen:
         raise EmptyBranch("no branch sample with lambda in [0, lambda_1)")

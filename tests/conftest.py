@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from indefbc.domain import build_domain
+from indefbc.problem import F_FORM, ProblemSpec
 
 
 @pytest.fixture(scope="session")
@@ -28,3 +29,9 @@ def random_interval_weight(rng):
 
 def sign_changing_disk_weight(domain, shift=-0.3):
     return np.cos(domain.nodes) + shift
+
+
+def f_form_spec(domain):
+    """The f-form with g = cos(theta) - 0.3 and f = 1 + cos(2 theta) / 2 on the disk."""
+    f = 1.0 + 0.5 * np.cos(2.0 * domain.nodes)
+    return ProblemSpec(domain, 2.0, sign_changing_disk_weight(domain), f, F_FORM)

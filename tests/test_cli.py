@@ -8,9 +8,11 @@ import pytest
 import indefbc.cli
 from indefbc.cli import CSV_HEADER, main
 from indefbc.config import config_from_dict, config_to_ini, load_config
+from indefbc.continuation import continue_branch
 from indefbc.domain import build_domain
 from indefbc.errors import ConfigError, ShapeMismatch
 from indefbc.problem import ProblemSpec
+from indefbc.spectral import weighted_steklov_spectrum
 
 INTERVAL_INI = """\
 [domain]
@@ -164,6 +166,57 @@ def test_exit_codes(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "solver error" in err
+    # 2: inputs a command would otherwise drop: the f-form in sweep and oracle1d,
+    # p != 2 under the logistic form, and keys that nothing reads
+    f_interval = INTERVAL_INI.replace("form = w-form", "form = f-form") \
+                             .replace("g = 1.0, -4.0", "g = 1.0, -4.0\nf = 1.0, 1.0")
+    logistic = INTERVAL_INI.replace("form = w-form", "form = logistic") \
+                           .replace("g = 1.0", "r = 1.0")
+    dropped = [("sweep", f_interval + "\n[sweep]\ndeltas = 4.0, 2.0\n"),
+               ("oracle1d", f_interval),
+               ("eig", logistic.replace("p = 2.0", "p = 3.0"))]
+    for typo in ("[tolerances]\nstep_mim = 0.05\n", "[run]\nseeds = 3\n",
+                 "[solver]\nmax_iter = 5\n"):
+        dropped.append(("eig", INTERVAL_INI + "\n" + typo))
+    for i, (command, text) in enumerate(dropped):
+        assert main([command, "--config", _write(tmp_path, text, f"dropped{i}.ini"),
+                     "--out", str(tmp_path / "dropped")]) == 2
+    assert not list((tmp_path / "dropped").glob("*"))
+
+
+F_FORM_DISK_INI = """\
+[domain]
+kind = unit-disk
+m = 32
+
+[problem]
+p = 2.0
+form = f-form
+g_terms = 1:1.0:0.0; 0:-0.3:0.0
+f_terms = 1:1.0:0.0; 0:-0.3:0.0; 2:0.5:0.0
+"""
+
+
+def test_f_form_branch_reports_the_f_pencil(tmp_path):
+    """The mu_2^+ column of an f-form branch.csv is the f-pencil's, point by point
+    (f = g + cos(2 theta) / 2 changes sign, so the branch runs past lambda = 0)."""
+    cfg = _write(tmp_path, F_FORM_DISK_INI)
+    assert main(["branch", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = [line.split(",") for line in (tmp_path / "branch.csv").read_text().splitlines()[1:]]
+    config = load_config(cfg)
+    spec = config.build_spec(config.build_domain())
+    branch = continue_branch(spec)
+    lam1 = branch.bifurcation_lambda
+    assert len(rows) == len(branch.points)
+    compared = 0
+    for cols, point in zip(rows, branch.points):
+        assert float(cols[0]) == point.lam
+        if 0.0 <= point.lam < lam1:
+            mu = weighted_steklov_spectrum(spec.domain, spec.g, point.lam, point.w, spec.p,
+                                           h=spec.f)
+            assert float(cols[7]) == mu.mu2_plus
+            compared += 1
+    assert compared >= 10
 
 
 def test_config_validation_messages(tmp_path):
@@ -191,6 +244,22 @@ def test_config_validation_messages(tmp_path):
         config_from_dict({"tolerances": {"step_min": "0.3", "step_max": "0.2"}})
     with pytest.raises(ShapeMismatch):
         ProblemSpec(build_domain("interval", 2), math.nan, np.array([1.0, -4.0]))
+    # weight keys the form or the domain kind does not read
+    disk = {"kind": "unit-disk", "m": "16"}
+    for domain, problem in (({}, {"form": "w-form", "g": "1, -4", "f": "1, 1"}),
+                            ({}, {"form": "logistic", "r": "-1, 4", "g": "1, -4"}),
+                            ({}, {"form": "f-form", "g": "1, -4", "f": "1, 1", "r": "1, 1"}),
+                            ({}, {"form": "w-form", "g": "1, -4", "g_terms": "1:1:0"}),
+                            (disk, {"g_terms": "1:1:0", "g": "1, -4"})):
+        with pytest.raises(ConfigError):
+            config_from_dict({"domain": domain, "problem": problem})
+    for kind in ("disk", "unit_disk", "unit-disk"):
+        config = config_from_dict({"domain": {**disk, "kind": kind},
+                                   "problem": {"form": "f-form", "g_terms": "1:1:0; 0:-0.3:0",
+                                               "f_terms": "0:1:0", "f_plateaus": "0:0.5",
+                                               "f_transition_width": "0.1"}})
+        assert config.build_domain().kind == "unit-disk"
+    assert config_from_dict({"problem": {"form": "logistic", "p": "2", "r": "-1, 4"}}).p == 2.0
     cfg = load_config(_write(tmp_path, INTERVAL_INI))
     assert cfg.lam_window == (0.05, 0.7)
     assert cfg.n_inits == 8

@@ -14,9 +14,9 @@ from indefbc.errors import (
     ShapeMismatch,
     UNotAboveOne,
 )
-from indefbc.problem import ProblemSpec, logistic_spec
+from indefbc.problem import F_FORM, LOGISTIC, W_FORM, ProblemSpec, logistic_spec
 from indefbc.weights import trig_weight
-from conftest import sign_changing_disk_weight
+from conftest import f_form_spec, sign_changing_disk_weight
 
 G_1D = np.array([1.0, -4.0])
 
@@ -116,6 +116,28 @@ def test_sppr_transform_solves_rescaled_equation(interval):
                               branch.direction)
     for tp in to_sppr(pos_branch, 2.0):
         assert tp.residual < 1e-9 * (1.0 + tp.sup_norm ** 2)
+
+
+def test_sppr_transform_weighs_v_to_the_p_by_f(disk32):
+    """On the f-form, v = lambda^(-1/(p-1)) w solves Lambda v = lambda Q (g v + f v^p)."""
+    spec = f_form_spec(disk32)
+    branch = continue_branch(spec, lam_window=(1e-2, 1.0))
+    positive = [pt for pt in branch.points if pt.lam > 0.0]
+    assert len(positive) >= 10 and min(pt.lam for pt in positive) < 1e-2
+    pos_branch = type(branch)(spec, positive, branch.bifurcation_lambda, branch.tangent,
+                              branch.direction)
+    for tp in to_sppr(pos_branch, spec.p):
+        assert tp.residual <= 1e-8
+
+
+def test_problem_spec_takes_f_exactly_under_the_f_form(interval):
+    f = np.array([1.0, 1.0])
+    for form in (W_FORM, LOGISTIC):
+        with pytest.raises(ShapeMismatch):
+            ProblemSpec(interval, 2.0, G_1D, f, form)
+    with pytest.raises(ShapeMismatch):
+        ProblemSpec(interval, 2.0, G_1D, form=F_FORM)
+    assert np.array_equal(ProblemSpec(interval, 2.0, G_1D, f, F_FORM).superlinear_weight, f)
 
 
 def test_sppr_transform_rejects_nonpositive_lambda(interval):

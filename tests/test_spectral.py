@@ -34,7 +34,7 @@ from indefbc.spectral import (
     weighted_steklov_spectrum,
 )
 from indefbc.weights import trig_weight
-from conftest import random_interval_weight, sign_changing_disk_weight
+from conftest import f_form_spec, random_interval_weight, sign_changing_disk_weight
 
 
 # ---------------------------------------------------------------------------
@@ -642,10 +642,11 @@ def test_mu_gap_at_p_matches_jacobian_regularity(disk16):
         assert (gap > 1e-6) == (smallest_sv > 1e-8)
 
 
-def _mu_spectrum_reference(domain, g, lam, w, p):
-    """The mu-spectrum through A^(-1/2), normalized, sign-fixed and flagged column by column."""
+def _mu_spectrum_reference(domain, g, lam, w, p, h=None):
+    """The mu-spectrum through A^(-1/2), normalized, sign-fixed and flagged column by
+    column; the pencil's right side weighs |w|^(p-1) by h, or by g without one."""
     a = dtn_matrix(domain) - np.diag(domain.weights * lam * g)
-    b = np.diag(domain.weights * g * np.abs(w) ** (p - 1.0))
+    b = np.diag(domain.weights * (g if h is None else h) * np.abs(w) ** (p - 1.0))
     evals, evecs = np.linalg.eigh(a)
     isqrt = evecs @ np.diag(evals ** -0.5) @ evecs.T
     nus, psis = np.linalg.eigh(isqrt @ b @ isqrt)
@@ -776,3 +777,34 @@ def test_m_delta_infinite_on_interval(interval):
 
     branch = continue_branch(spec)
     assert m_delta(interval, g, 2.0, branch) == math.inf
+
+
+def test_mu1_plus_is_one_along_the_f_form_branch(disk32):
+    """At an f-form solution A w = M_{f w^(p-1)} w, so mu = 1 is in the f-pencil's
+    spectrum; on this branch it is mu_1^+ (the g-pencil read 3.4 to 12.8 here)."""
+    spec = f_form_spec(disk32)
+    branch = continue_branch(spec, options=StepOptions(with_gamma1=False))
+    lam1 = branch.bifurcation_lambda
+    inside = [pt for pt in branch.points if 0.2 * lam1 <= pt.lam <= 0.8 * lam1]
+    assert len(inside) >= 4
+    for pt in inside:
+        mu = weighted_steklov_spectrum(disk32, spec.g, pt.lam, pt.w, spec.p, h=spec.f)
+        assert abs(mu.mu1_plus - 1.0) <= 1e-8
+
+
+def test_m_delta_uses_the_f_pencil(disk32):
+    """m_delta with h = f is the least mu_2^+ of the f-pencil over the branch samples
+    in [0, lambda_1), against the per-column reference; without h it reads g."""
+    spec = f_form_spec(disk32)
+    branch = continue_branch(spec, options=StepOptions(with_gamma1=False))
+    lam1 = branch.bifurcation_lambda
+    inside = [pt for pt in branch.points if 0.0 <= pt.lam < lam1]
+    expected = {}
+    for label, h in (("f", spec.f), ("g", None)):
+        mus = (_mu_spectrum_reference(disk32, spec.g, pt.lam, pt.w, spec.p, h)[0]
+               for pt in inside)
+        expected[label] = min(float(m[m > 1e-12][1]) for m in mus)
+    got = m_delta(disk32, spec.g, spec.p, branch, h=spec.f)
+    assert got == pytest.approx(expected["f"], rel=1e-9)
+    assert m_delta(disk32, spec.g, spec.p, branch) == pytest.approx(expected["g"], rel=1e-9)
+    assert expected["g"] > 2.0 * expected["f"]
