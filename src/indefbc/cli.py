@@ -82,14 +82,17 @@ def _lam_grid(config: RunConfig) -> list:
     return list(np.linspace(lo, hi, config.lam_samples))
 
 
-def _mu2_plus(spec, point, lam1: float) -> float:
+def _mu2_plus(spec, point, lam1: float, guess):
+    """(mu_2^+ at a branch point, its eigenvector for the next point's guess);
+    nan outside [0, lambda_1)."""
     if not 0.0 <= point.lam < lam1:
-        return math.nan
+        return math.nan, guess
     try:
-        return weighted_steklov_spectrum(spec.domain, spec.g, point.lam, point.w, spec.p,
-                                         spec.superlinear_weight).mu2_plus
+        mu = weighted_steklov_spectrum(spec.domain, spec.g, point.lam, point.w, spec.p,
+                                       spec.superlinear_weight, guess)
     except PencilNotPositiveDefinite:
-        return math.nan
+        return math.nan, None
+    return mu.mu2_plus, mu.mu2_vector
 
 
 def cmd_eig(config: RunConfig, out_dir: str, verbose: bool) -> int:
@@ -165,9 +168,10 @@ def cmd_branch(config: RunConfig, out_dir: str, verbose: bool) -> int:
     lam1 = branch.bifurcation_lambda
     lines = [CSV_HEADER]
     diagram = ["lambda,sup_norm"]
+    guess = None
     for point in branch.points:
         l2 = math.sqrt(float(domain.weights @ (point.w * point.w)))
-        mu2 = _mu2_plus(spec, point, lam1)
+        mu2, guess = _mu2_plus(spec, point, lam1, guess)
         lines.append(",".join([
             _fmt(point.lam), _fmt(point.sup_norm), _fmt(l2),
             _fmt(point.nehari.E), _fmt(point.nehari.G_val), _fmt(point.nehari.J),
@@ -273,8 +277,14 @@ def cmd_oracle1d(config: RunConfig, out_dir: str, verbose: bool) -> int:
 def cmd_asympt(config: RunConfig, out_dir: str, verbose: bool) -> int:
     domain = config.build_domain()
     spec = config.build_spec(domain)
-    branch = continue_branch(spec)
+    options = StepOptions(ds_min=config.step_min, ds_max=config.step_max)
+    branch = continue_branch(spec, options=options)
     target = "logistic-u" if spec.form == LOGISTIC else "sppr-v"
+    if branch.termination == "step-underflow":  # no fit on a trace that stopped short
+        payload = _report(config, "asympt", {"target": target,
+                                             "termination": branch.termination}, incomplete=True)
+        _write_json(os.path.join(out_dir, "asympt.json"), payload)
+        return EXIT_SOLVER
     fit = asymptotics_fit(branch, config.lam_window, target)
     expected = -1.0 / (spec.p - 1.0)
     verdict = {"slope": fit.slope, "expected": expected,
@@ -282,7 +292,8 @@ def cmd_asympt(config: RunConfig, out_dir: str, verbose: bool) -> int:
     if verbose:
         print(f"slope={_fmt(fit.slope)} expected={_fmt(expected)}")
     payload = _report(config, "asympt", {
-        "target": target, "lams": fit.lams, "sup_norms": fit.sup_norms,
+        "target": target, "termination": branch.termination,
+        "lams": fit.lams, "sup_norms": fit.sup_norms,
         "intercept": fit.intercept, "fit_residual": fit.fit_residual,
         "verdict": verdict,
     }, incomplete=False)

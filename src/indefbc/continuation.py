@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from .domain import as_values, boundary_integral
 from .dtn import dtn_matrix
@@ -93,18 +94,16 @@ def _corrector(spec: ProblemSpec, w, lam, w_pred, lam_pred, t_w, t_lam, tol):
         sup = float(np.max(np.abs(wv)))
         if np.linalg.norm(f) < tol * (1.0 + sup ** spec.p) and abs(n) < 1e-12 * (1.0 + sup):
             return wv, lv
-        jac = residual_jacobian(spec, lv, wv)
-        dfdl = -spec.domain.weights * spec.g * wv
-        ext = np.zeros((m + 1, m + 1))
-        ext[:m, :m] = jac.T  # J is symmetric; its transpose is the C-ordered view
-        ext[:m, m] = dfdl
+        # the bordered matrix in Fortran order, which dgesv factors in place
+        ext = np.empty((m + 1, m + 1), order="F")
+        ext[:m, :m] = residual_jacobian(spec, lv, wv)
+        ext[:m, m] = -spec.domain.weights * spec.g * wv  # dF/dlambda
         ext[m, :m] = t_w / m
         ext[m, m] = t_lam
-        rhs = np.concatenate([f, [n]])
-        try:
-            step = np.linalg.solve(ext, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise CorrectorDivergence(str(exc)) from exc
+        rhs = np.append(f, n)
+        step, info = dgesv(ext, rhs, overwrite_a=1, overwrite_b=1)[2:]
+        if info > 0:
+            raise CorrectorDivergence(f"singular bordered matrix: zero pivot in column {info - 1}")
         if not np.all(np.isfinite(step)):
             raise CorrectorDivergence("non-finite corrector step")
         wv -= step[:m]

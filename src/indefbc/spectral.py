@@ -18,6 +18,7 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from .domain import (
+    INTERVAL,
     BoundaryFunction,
     Domain,
     as_values,
@@ -40,10 +41,17 @@ _EPS = float(np.finfo(float).eps)
 # this goes to QZ.  The estimate overstated the error at least 5x where measured;
 # branch seed points next to lambda_1 reach 1.5e-11, lambda = 1e-6 lambda_1 1.6e-10.
 _MU2_RTOL = 1e-10
+# (1, w) is deflated from the mu-pencil when |A w - B w| <= _DEFLATE_RTOL |B w|; an
+# error e in w moves the deflated mu_2^+ by O(|e|^2) only, as the exact B w is
+# orthogonal to the other eigenvectors (branch seed points next to lambda_1 reach
+# 1.6e-6, and their mu_2^+ stayed within 1e-15 of a 40-digit reference).
+_DEFLATE_RTOL = 1e-5
 # The certified eigen-step factors h - tau I with tau = rho + _SHIFT_GAP max|h|, rho
-# the warm guess's Rayleigh quotient, and inverse-iterates at most _INVERSE_STEPS times.
+# the warm guess's Rayleigh quotient, and inverse-iterates at most _INVERSE_STEPS times
+# (each iteration about a quarter of the factorization's cost at m = 128, an eigh
+# fallback about five factorizations).
 _SHIFT_GAP = 1e-8
-_INVERSE_STEPS = 6
+_INVERSE_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -61,28 +69,56 @@ class EigenPair:
 class MuSpectrum:
     """Real spectrum of the weighted problem at a solution (lambda, w).
 
-    The values come from an eigenvalue-only solve; ``eigenfunctions`` and
-    ``principal`` are computed on first read and cached, so a caller that
-    reads only mu_2^+ never pays for eigenvectors.
+    ``mu2_plus`` comes with the call, and at a solution with its eigenvector
+    ``mu2_vector``, the next call's ``guess``.  The whole spectrum
+    (``mu_values``, ``mu1_minus``, ``mu1_plus``) and its ``eigenfunctions`` and
+    ``principal`` flags are computed on first read and cached, so a caller that
+    reads only mu_2^+ never pays for them.
     """
 
-    mu_values: np.ndarray  # ascending
-    mu1_minus: float
-    mu1_plus: float
     mu2_plus: float  # +inf when absent
+    mu2_vector: np.ndarray | None = field(repr=False, compare=False)  # None when not computed
     _weights: np.ndarray = field(repr=False, compare=False)  # boundary quadrature
     _pencil: tuple = field(repr=False, compare=False)  # (A, b): A phi = mu diag(b) phi
-    # the eigh column of each mu_value; None where the values came from QZ
-    _columns: np.ndarray | None = field(repr=False, compare=False)
+    # (mu_values, the eigh column of each or None from QZ) when the call solved for them
+    _solved: tuple | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def _spectrum(self) -> tuple:
+        return self._solved if self._solved is not None else _pencil_spectrum(*self._pencil)
+
+    @property
+    def mu_values(self) -> np.ndarray:
+        """All real mu, ascending."""
+        return self._spectrum[0]
+
+    @property
+    def _columns(self) -> np.ndarray | None:
+        return self._spectrum[1]
+
+    @cached_property
+    def mu1_plus(self) -> float:
+        positive = self.mu_values[self.mu_values > 1e-12]
+        return float(positive[0]) if len(positive) else math.nan
+
+    @cached_property
+    def mu1_minus(self) -> float:
+        nonpos = self.mu_values[self.mu_values <= 1e-12]
+        return float(nonpos[-1]) if len(nonpos) else math.nan
 
     @cached_property
     def eigenfunctions(self) -> np.ndarray:
-        """Columns aligned with mu_values, boundary-L2 normalized, largest entry positive."""
+        """Columns aligned with mu_values, boundary-L2 normalized, largest entry positive.
+
+        From dsygv (QR iteration): on the columns of m = 64 branch points whose mu
+        are 1e-3 apart it came within 2.1e-12 of a 40-digit reference, where the
+        default divide and conquer (dsygvd) erred by up to 1.3e-9.
+        """
         a, b = self._pencil
         if self._columns is None:
             funcs = _real_pencil_eigs(a, np.diag(b))[1]
         else:
-            funcs = scipy.linalg.eigh(np.diag(b), a)[1][:, self._columns]
+            funcs = scipy.linalg.eigh(np.diag(b), a, driver="gv")[1][:, self._columns]
         funcs = funcs / np.sqrt(self._weights @ funcs ** 2)
         peaks = funcs[np.argmax(np.abs(funcs), axis=0), np.arange(funcs.shape[1])]
         return np.where(peaks < 0.0, -funcs, funcs)
@@ -157,14 +193,19 @@ def near_lambda1(lam: float, lam1: float) -> bool:
 def principal_eigenvalue(domain: Domain, g) -> EigenPair:
     """Positive principal eigenvalue lambda_1(g) of Lambda phi = lambda M_g phi.
 
-    (0, constant) when the boundary integral of g is nonnegative.  Otherwise
-    the positive root of beta_0(lambda), the smallest eigenvalue of
-    (Lambda - lambda M_g)/q: concave, beta_0(0) = 0 < beta_0'(0) = -mean(g).
-    Newton (slope -sum g v^2, v the unit eigenvector) descends to it from the
-    Rayleigh bound of the indicator of {g > 0}, where beta_0 <= 0.  beta_0 is
-    v's Rayleigh quotient, with Lambda's form on v - v_0 where that is exact
-    (Lambda annihilates constants): eigh's eigenvalue, or the form of a nearly
-    constant v, errs by eps |Lambda|, moving the root by eps |Lambda| / mean(g)^2.
+    (0, constant) when the boundary integral of g is nonnegative.  On the
+    interval, the closed form (g_0 + g_1)/(g_0 g_1), eigenfunction
+    (1, 1 - lambda_1 g_0) = (1, -g_0/g_1).  Otherwise the positive root of
+    beta_0(lambda), the smallest eigenvalue of (Lambda - lambda M_g)/q:
+    concave, beta_0(0) = 0 < beta_0'(0) = -mean(g).  Newton (slope -sum g v^2,
+    v the unit eigenvector) descends to it from the Rayleigh bound of the
+    indicator of {g > 0}, where beta_0 <= 0; the first evaluation is an
+    ``eigh``, each later one a certified eigen-step warm from the last v
+    (7 evaluations per root on the benchmark's disk weights at m = 128, the
+    second of them 7 or 8 inverse iterations).  beta_0 is v's Rayleigh quotient,
+    with Lambda's form on v - v_0 where that is exact (Lambda annihilates
+    constants): the eigen-step's eigenvalue, or the form of a nearly constant
+    v, errs by eps |Lambda|, moving the root by eps |Lambda| / mean(g)^2.
     No positive entry in g, or a root eigenvector that changes sign, raises.
     """
     gv = as_values(domain, g)
@@ -176,17 +217,23 @@ def principal_eigenvalue(domain: Domain, g) -> EigenPair:
     if not phi.any():
         raise RootNotBracketed("lambda1: g has no positive entry")
     lap, q = dtn_matrix(domain), domain.weights[0]
-    bound = float(phi @ lap @ phi) / (q * float(gv @ phi))
+    if domain.kind == INTERVAL:  # one entry of each sign, and a negative sum
+        g0, g1 = float(gv[0]), float(gv[1])
+        lam, vec = (g0 + g1) / (g0 * g1), np.array([1.0, -g0 / g1])
+    else:
+        bound = float(phi @ lap @ phi) / (q * float(gv @ phi))
+        vec = None
 
-    def evaluate(lam):
-        vec = _smallest_eigenpair((lap - np.diag(domain.weights * lam * gv)) / q, None)[1]
-        w = vec - vec[0]  # exact (Sterbenz) where v is within a factor 2 of v_0
-        if not np.all(np.abs(w) <= 0.5 * abs(vec[0])):
-            w = vec
-        gvv = float(gv @ vec ** 2)
-        return float(w @ lap @ w) / q - lam * gvv, -gvv, vec
+        def evaluate(lam):
+            nonlocal vec
+            vec = _smallest_eigenpair((lap - np.diag(domain.weights * lam * gv)) / q, vec)[1]
+            w = vec - vec[0]  # exact (Sterbenz) where v is within a factor 2 of v_0
+            if not np.all(np.abs(w) <= 0.5 * abs(vec[0])):
+                w = vec
+            gvv = float(gv @ vec ** 2)
+            return float(w @ lap @ w) / q - lam * gvv, -gvv, vec
 
-    lam, vec = _newton_root(evaluate, bound, 0.0, bound, "lambda1")
+        lam, vec = _newton_root(evaluate, bound, 0.0, bound, "lambda1")
     func = _h1_normalize(domain, vec)
     if not np.all(func > 0.0):
         raise RootNotBracketed(f"lambda1: the eigenvector at {lam} changes sign")
@@ -198,6 +245,8 @@ def _negative_count(ldu: np.ndarray, ipiv: np.ndarray) -> int:
     """Negative eigenvalues of D in dsytrf's lower L D L^T: its 1x1 blocks where
     ipiv > 0, its 2x2 blocks on the pairs of rows where ipiv < 0."""
     d = np.diagonal(ldu)
+    if ipiv.min() > 0:  # 1x1 blocks only, as in most eigen-steps
+        return int(np.count_nonzero(d < 0.0))
     start = np.flatnonzero(ipiv < 0)[::2]
     a, b, c = d[start], ldu[start + 1, start], d[start + 1]
     det = a * c - b * b
@@ -358,30 +407,22 @@ def gamma1(domain: Domain, g, lam: float, w, p: float, h=None) -> EigenPair:
     return _shifted_root(domain, weight, 1.0, wv, "gamma1")
 
 
-def weighted_steklov_spectrum(domain: Domain, g, lam: float, w, p: float, h=None) -> MuSpectrum:
-    """All real eigenvalues mu of (Lambda - lambda M_g) phi = mu M_{h w^(p-1)} phi,
-    where h defaults to g (h = f for the f-variant).
+def _pencil_spectrum(a: np.ndarray, b: np.ndarray, at_zero: bool = False) -> tuple:
+    """All real mu of A phi = mu diag(b) phi, ascending, with the eigh column of
+    each (None where they come from QZ).
 
-    For lambda in (0, lambda_1(g)) the left side A is positive definite, and
-    the values are nu = 1/mu of the symmetric-definite pencil (M_{h w^(p-1)}, A),
-    from one eigenvalue-only Cholesky-reduced ``eigh`` (Golub & Van Loan 8.7);
-    the eigenfunctions are one more ``eigh``, with vectors, on first read.
-    At lambda = 0, A is only semidefinite (kernel = constants) and QZ is used
-    instead.  A failed Cholesky factorization of A falls back on A's smallest
-    eigenvalue: below -1e-10 * scale raises, within the round-off window
-    around 0 QZ is used as well.  Where A is nearly singular the reduction's
-    nu err by up to about eps max|nu|, and QZ is used too when mu_2^+'s
-    relative error estimate eps max|nu| mu_2^+ exceeds _MU2_RTOL (within
-    about 1e-6 lambda_1 of lambda = 0).
-    mu = 1 is always present at a solution, with eigenfunction w.
+    For lambda in (0, lambda_1(g)) A is positive definite, and the values are
+    nu = 1/mu of the symmetric-definite pencil (diag(b), A), from one
+    eigenvalue-only Cholesky-reduced ``eigh`` (Golub & Van Loan 8.7).  At
+    lambda = 0 (``at_zero``), A is only semidefinite (kernel = constants) and
+    QZ is used instead.  A failed Cholesky factorization of A falls back on
+    A's smallest eigenvalue: below -1e-10 * scale raises, within the round-off
+    window around 0 QZ is used as well.  Where A is nearly singular the
+    reduction's nu err by up to about eps max|nu|, and QZ is used too when
+    mu_2^+'s relative error estimate eps max|nu| mu_2^+ exceeds _MU2_RTOL
+    (within about 1e-6 lambda_1 of lambda = 0).
     """
-    gv = as_values(domain, g)
-    wv = as_values(domain, w)
-    hv = gv if h is None else as_values(domain, h)
-    a = dtn_matrix(domain) - np.diag(domain.weights * lam * gv)
-    b = domain.weights * hv * np.abs(wv) ** (p - 1.0)  # diagonal of M_{h w^(p-1)}
-    mus = None
-    if lam != 0.0:
+    if not at_zero:
         try:
             nus = scipy.linalg.eigh(np.diag(b), a, eigvals_only=True)
         except np.linalg.LinAlgError:  # A not numerically positive definite
@@ -398,21 +439,91 @@ def weighted_steklov_spectrum(domain: Domain, g, lam: float, w, p: float, h=None
             mus = 1.0 / nus[columns]
             # each nu errs by about eps max|nu|, so mu_2^+ by that times mu_2^+ relative
             positive = mus[mus > 1e-12]
-            if len(positive) >= 2 and _EPS * np.max(np.abs(nus)) * positive[1] > _MU2_RTOL:
-                mus = None
-    if mus is None:
-        mus, columns = _real_pencil_values(a, np.diag(b)), None
+            if not (len(positive) >= 2 and _EPS * np.max(np.abs(nus)) * positive[1] > _MU2_RTOL):
+                return mus, columns
+    return _real_pencil_values(a, np.diag(b)), None
+
+
+def _deflated_mu2(a: np.ndarray, b: np.ndarray, w: np.ndarray, guess) -> tuple[float, np.ndarray]:
+    """mu_2^+ of A phi = mu diag(b) phi, A positive definite, at a solution w (A w = B w,
+    B = diag(b) with at least two positive entries), and its unit eigenvector.
+
+    B' = B - (Bw)(Bw)^T / (w^T B w) annihilates w and leaves every other pair
+    (B-orthogonal to w) as it was (Wielandt/Hotelling deflation, Parlett, The
+    Symmetric Eigenvalue Problem), so mu_2^+ is the least positive mu of
+    (A, B').  It is the one positive root of beta(mu), the smallest eigenvalue
+    of A - mu B': concave, with beta(0) > 0 and slope -y^T B' y, y the unit
+    eigenvector; each evaluation is a certified eigen-step warm from the last
+    y.  Newton descends from the Rayleigh bound v^T A v / v^T B' v >= mu_2^+
+    of the guess v, or, with no guess of positive v^T B' v, of the top
+    eigenvector of (B', A) from one ``eigh``.
+    """
+    scaled = b * w / math.sqrt(float(w @ (b * w)))  # B w / sqrt(w^T B w)
+    deflated = np.diag(b) - np.outer(scaled, scaled)  # symmetric to the bit
+
+    def curvature(v):  # v^T B' v
+        return float(b @ (v * v)) - float(scaled @ v) ** 2
+
+    y = None if guess is None else np.asarray(guess, dtype=float)
+    if y is None or not curvature(y) > 0.0:
+        m = len(b)
+        y = scipy.linalg.eigh(deflated, a, subset_by_index=[m - 1, m - 1])[1][:, 0]
+    bound = float(y @ a @ y) / curvature(y)
+    if not 0.0 < bound < math.inf:
+        raise RootNotBracketed(f"mu2+: no Rayleigh bound from the guess ({bound})")
+
+    def evaluate(mu):
+        nonlocal y
+        beta, y = _smallest_eigenpair(a - mu * deflated, y)
+        return beta, -curvature(y), y
+
+    # beta(bound) <= 0, but may round to just above 0: 2 bound is a safe upper end
+    return _newton_root(evaluate, bound, 0.0, 2.0 * bound, "mu2+")
+
+
+def weighted_steklov_spectrum(domain: Domain, g, lam: float, w, p: float, h=None,
+                              guess=None) -> MuSpectrum:
+    """All real eigenvalues mu of (Lambda - lambda M_g) phi = mu M_{h w^(p-1)} phi,
+    where h defaults to g (h = f for the f-variant).
+
+    At a solution w with lambda in (0, lambda_1(g)) -- where (1, w) is an
+    eigenpair to _DEFLATE_RTOL relative and dpotrf factors A = Lambda - lambda M_g
+    -- mu_2^+ is the deflated root of ``_deflated_mu2``, started from ``guess``
+    (the ``mu2_vector`` of a nearby solution's spectrum; None costs one
+    ``eigh``), and +inf when M_{h w^(p-1)} has at most one positive entry, since
+    the pencil has as many positive mu as it has positive entries.  The rest
+    of the spectrum is computed on first read by ``_pencil_spectrum``, which
+    also gives mu_2^+ everywhere else: at lambda = 0, off a solution, or where
+    the root fails.  mu = 1 is always present at a solution, with
+    eigenfunction w.
+    """
+    gv = as_values(domain, g)
+    wv = as_values(domain, w)
+    hv = gv if h is None else as_values(domain, h)
+    a = dtn_matrix(domain) - np.diag(domain.weights * lam * gv)
+    b = domain.weights * hv * np.abs(wv) ** (p - 1.0)  # diagonal of M_{h w^(p-1)}
+    if lam != 0.0:
+        bw = b * wv
+        eigenpair = np.linalg.norm(a @ wv - bw) <= _DEFLATE_RTOL * np.linalg.norm(bw)
+        if eigenpair and lapack.dpotrf(a.T, lower=1, clean=0)[1] == 0:  # A^T = A, Fortran order
+            if np.count_nonzero(b > 0.0) <= 1:
+                return MuSpectrum(math.inf, None, domain.weights, (a, b))
+            try:
+                mu2, vec = _deflated_mu2(a, b, wv, guess)
+            except RootNotBracketed:
+                pass
+            else:
+                return MuSpectrum(mu2, vec, domain.weights, (a, b))
+    mus, columns = _pencil_spectrum(a, b, lam == 0.0)
     positive = mus[mus > 1e-12]
-    mu1_plus = float(positive[0]) if len(positive) else math.nan
     mu2_plus = float(positive[1]) if len(positive) >= 2 else math.inf
-    nonpos = mus[mus <= 1e-12]
-    mu1_minus = float(nonpos[-1]) if len(nonpos) else math.nan
-    return MuSpectrum(mus, mu1_minus, mu1_plus, mu2_plus, domain.weights, (a, b), columns)
+    return MuSpectrum(mu2_plus, None, domain.weights, (a, b), (mus, columns))
 
 
 def m_delta(domain: Domain, g, p: float, branch, h=None) -> float:
     """Minimum of mu_2^+ over branch samples with lambda in [0, lambda_1(g)),
-    each from the pencil with weight h |w|^(p-1), h defaulting to g.
+    each from the pencil with weight h |w|^(p-1), h defaulting to g, and each
+    root warm from the last sample's eigenvector.
 
     Discrete surrogate of the infimum defining m_delta; +inf when the
     second positive eigenvalue is absent everywhere (e.g. the interval).
@@ -423,12 +534,14 @@ def m_delta(domain: Domain, g, p: float, branch, h=None) -> float:
     lam1 = principal_eigenvalue(domain, g).value
     best = math.inf
     seen = False
+    guess = None
     for pt in points:
         if not 0.0 <= pt.lam < lam1:
             continue
         seen = True
-        spec = weighted_steklov_spectrum(domain, g, pt.lam, pt.w, p, h)
+        spec = weighted_steklov_spectrum(domain, g, pt.lam, pt.w, p, h, guess)
         best = min(best, spec.mu2_plus)
+        guess = spec.mu2_vector
     if not seen:
         raise EmptyBranch("no branch sample with lambda in [0, lambda_1)")
     return best

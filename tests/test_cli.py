@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import indefbc.cli
 from indefbc.cli import CSV_HEADER, main
@@ -199,7 +200,8 @@ f_terms = 1:1.0:0.0; 0:-0.3:0.0; 2:0.5:0.0
 
 def test_f_form_branch_reports_the_f_pencil(tmp_path):
     """The mu_2^+ column of an f-form branch.csv is the f-pencil's, point by point
-    (f = g + cos(2 theta) / 2 changes sign, so the branch runs past lambda = 0)."""
+    (f = g + cos(2 theta) / 2 changes sign, so the branch runs past lambda = 0),
+    each root warm from the last point's eigenvector as in ``cmd_branch``."""
     cfg = _write(tmp_path, F_FORM_DISK_INI)
     assert main(["branch", "--config", cfg, "--out", str(tmp_path)]) == 0
     rows = [line.split(",") for line in (tmp_path / "branch.csv").read_text().splitlines()[1:]]
@@ -209,14 +211,54 @@ def test_f_form_branch_reports_the_f_pencil(tmp_path):
     lam1 = branch.bifurcation_lambda
     assert len(rows) == len(branch.points)
     compared = 0
+    guess = None
     for cols, point in zip(rows, branch.points):
         assert float(cols[0]) == point.lam
         if 0.0 <= point.lam < lam1:
             mu = weighted_steklov_spectrum(spec.domain, spec.g, point.lam, point.w, spec.p,
-                                           h=spec.f)
+                                           h=spec.f, guess=guess)
             assert float(cols[7]) == mu.mu2_plus
+            guess = mu.mu2_vector
             compared += 1
     assert compared >= 10
+
+
+def test_branch_mu2_column_costs_one_eigh(tmp_path, monkeypatch):
+    """cmd_branch's mu_2^+ column on an m = 32 disk branch costs one scipy eigh in
+    all: the first point's, and every later root is warm from the point before.
+    Each value matches the full spectrum's mu_2^+ to 1e-12 relative, and the
+    interval's column stays +inf."""
+    ini = ("[domain]\nkind = unit-disk\nm = 32\n\n"
+           "[problem]\np = 2.0\ng_terms = 1:1.0:0.0; 0:-0.3:0.0\n")
+    eigh = scipy.linalg.eigh
+    spectrum = indefbc.cli.weighted_steklov_spectrum
+    inside, calls, pairs = [], [], []
+
+    def counted_eigh(*args, **kwargs):
+        if inside:
+            calls.append(1)
+        return eigh(*args, **kwargs)
+
+    def recorded(*args, **kwargs):
+        inside.append(1)
+        try:
+            mu = spectrum(*args, **kwargs)
+        finally:
+            inside.clear()
+        positive = mu.mu_values[mu.mu_values > 1e-12]
+        pairs.append((mu.mu2_plus, float(positive[1]) if len(positive) > 1 else math.inf))
+        return mu
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(indefbc.cli, "weighted_steklov_spectrum", recorded)
+    assert main(["branch", "--config", _write(tmp_path, ini), "--out", str(tmp_path / "disk")]) == 0
+    assert len(pairs) >= 15 and len(calls) == 1
+    for warm, full in pairs:
+        assert abs(warm - full) <= 1e-12 * full
+    pairs.clear()
+    assert main(["branch", "--config", _write(tmp_path, INTERVAL_INI, "interval.ini"),
+                 "--out", str(tmp_path / "interval")]) == 0
+    assert pairs and all(warm == full == math.inf for warm, full in pairs)
 
 
 def test_config_validation_messages(tmp_path):
@@ -282,6 +324,23 @@ def test_branch_reports_step_underflow_as_incomplete(tmp_path):
     payload = json.loads((tmp_path / "full" / "branch.json").read_text())
     assert not payload["incomplete"] and payload["termination"] == "lam-floor"
     assert payload["lam_range"][0] < 0.0
+
+
+def test_asympt_reads_the_step_options(tmp_path):
+    """asympt traces its branch with [tolerances] step_min and step_max: step_min
+    above the initial step (0.02) stops the trace after its seed points, so
+    asympt.json is incomplete, says why, holds no fit, and the exit is 3."""
+    ini = INTERVAL_INI.replace("0.05, 0.7", "0.001, 0.1")
+    assert main(["asympt", "--config", _write(tmp_path, ini, "full.ini"),
+                 "--out", str(tmp_path / "full")]) == 0
+    payload = json.loads((tmp_path / "full" / "asympt.json").read_text())
+    assert not payload["incomplete"] and payload["termination"] == "lam-floor"
+    underflow = ini + "\n[tolerances]\nstep_min = 0.05\n"
+    assert main(["asympt", "--config", _write(tmp_path, underflow, "under.ini"),
+                 "--out", str(tmp_path / "under")]) == 3
+    payload = json.loads((tmp_path / "under" / "asympt.json").read_text())
+    assert payload["incomplete"] and payload["termination"] == "step-underflow"
+    assert "verdict" not in payload and "lams" not in payload
 
 
 @pytest.mark.parametrize("direction", [-math.inf, math.inf])

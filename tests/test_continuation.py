@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import indefbc.continuation
 from indefbc.continuation import (
     StepOptions,
     continue_branch,
@@ -9,6 +10,7 @@ from indefbc.continuation import (
 )
 from indefbc.domain import build_domain
 from indefbc.errors import (
+    CorrectorDivergence,
     NonpositiveLambdaPoint,
     RootNotBracketed,
     ShapeMismatch,
@@ -184,3 +186,15 @@ def test_branch_records_why_it_stopped(interval):
              "step-underflow": StepOptions(ds_min=0.05)}
     for reason, options in stops.items():
         assert continue_branch(spec, options=options).termination == reason
+
+
+def test_corrector_raises_on_a_singular_bordered_matrix(disk16, monkeypatch):
+    """The corrector's dgesv solve reports a zero pivot as CorrectorDivergence: with
+    a zero Jacobian, the bordered matrix's first m rows are all multiples of one row."""
+    spec = ProblemSpec(disk16, 2.0, sign_changing_disk_weight(disk16))
+    w = np.full(16, 0.1)
+    t_w, t_lam = np.ones(16) / 4.0, 0.0
+    monkeypatch.setattr(indefbc.continuation, "residual_jacobian",
+                        lambda spec, lam, w: np.zeros((16, 16), order="F"))
+    with pytest.raises(CorrectorDivergence, match="zero pivot"):
+        indefbc.continuation._corrector(spec, w, 0.3, w, 0.3, t_w, t_lam, 1e-11)

@@ -693,28 +693,42 @@ def test_mu_spectrum_matches_per_column_reference():
         assert np.all(np.linalg.norm(defect, axis=0) <= 1e-11 * scale * np.linalg.norm(got, axis=0))
 
 
-def test_mu2_plus_needs_one_eigenvalue_only_solve(monkeypatch):
-    """mu_2^+ costs one eigenvalue-only eigh; the eigenfunctions one more, once."""
+def test_mu2_plus_needs_one_eigh_cold_and_none_warm(monkeypatch):
+    """At a solution, mu_2^+ costs one eigh for the top eigenvector of the deflated
+    pencil without a guess, and none from the mu_2 eigenvector of a nearby
+    solution; the whole spectrum costs one eigenvalue-only eigh and the
+    eigenfunctions one more, each once, when first read."""
     dom = build_domain("unit-disk", 64)
     g = sign_changing_disk_weight(dom)
     branch = continue_branch(ProblemSpec(dom, 2.0, g), options=StepOptions(with_gamma1=False))
-    point = branch.at_lambda(0.3 * branch.bifurcation_lambda, with_gamma1=False)
+    lam1 = branch.bifurcation_lambda
+    point = branch.at_lambda(0.3 * lam1, with_gamma1=False)
+    near = branch.at_lambda(0.32 * lam1, with_gamma1=False)
     calls = []
     eigh = scipy.linalg.eigh
 
     def counted_eigh(*args, **kwargs):
-        calls.append(kwargs.get("eigvals_only", False))
+        calls.append("top" if "subset_by_index" in kwargs
+                     else "values" if kwargs.get("eigvals_only") else "vectors")
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
     spec = weighted_steklov_spectrum(dom, g, point.lam, point.w, 2.0)
-    assert math.isfinite(spec.mu2_plus)
-    assert calls == [True]
+    assert math.isfinite(spec.mu2_plus) and spec.mu2_vector is not None
+    assert calls == ["top"]
+    warm = weighted_steklov_spectrum(dom, g, near.lam, near.w, 2.0, guess=spec.mu2_vector)
+    assert calls == ["top"]
+    cold = weighted_steklov_spectrum(dom, g, near.lam, near.w, 2.0)
+    assert abs(warm.mu2_plus - cold.mu2_plus) <= 1e-12 * cold.mu2_plus
+    del calls[:]
+    assert spec.mu_values[spec.mu_values > 1e-12][1] == pytest.approx(spec.mu2_plus, rel=1e-12)
+    assert abs(spec.mu1_plus - 1.0) < 1e-8
+    assert calls == ["values"]
     funcs = spec.eigenfunctions
     assert spec.principal.sum() >= 1
-    assert calls == [True, False]
+    assert calls == ["values", "vectors"]
     assert spec.eigenfunctions is funcs and spec.principal.sum() >= 1
-    assert calls == [True, False]
+    assert calls == ["values", "vectors"]
 
 
 def test_mu_qz_values_match_qz_with_vectors():
@@ -768,6 +782,27 @@ def test_mu2_plus_accurate_next_to_lambda_zero(disk16):
         exact = [mu for mu in mus if mu > 1e-12][1]
         got = weighted_steklov_spectrum(disk16, g, lam, w, 2.0).mu2_plus
         assert abs(got - exact) <= 1e-12 * exact
+
+
+def test_mu2_plus_accurate_next_to_lambda1(disk16):
+    """At the branch points with lambda >= 0.999 lambda_1, where mu_2^+ is about 1e4
+    to 7e4, the deflated root (warm along the branch, as in ``cmd_branch``) is
+    within 1e-13 of a 40-digit reference; the Cholesky-reduced full spectrum
+    erred there by up to 1.4e-12."""
+    g = sign_changing_disk_weight(disk16)
+    branch = continue_branch(ProblemSpec(disk16, 2.0, g), options=StepOptions(with_gamma1=False))
+    lam1 = branch.bifurcation_lambda
+    near = [pt for pt in branch.points if 0.999 * lam1 <= pt.lam < lam1]
+    assert len(near) >= 3
+    guess = None
+    for pt in near:
+        spec = weighted_steklov_spectrum(disk16, g, pt.lam, pt.w, 2.0, guess=guess)
+        guess = spec.mu2_vector
+        assert guess is not None  # the deflated root, not the full spectrum
+        mus = _mp_disk_eigenvalues(disk16, pt.lam * g, g * pt.w)
+        exact = [mu for mu in mus if mu > 1e-12][1]
+        assert exact > 1e3
+        assert abs(spec.mu2_plus - exact) <= 1e-13 * exact
 
 
 def test_m_delta_infinite_on_interval(interval):
