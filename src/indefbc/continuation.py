@@ -217,7 +217,7 @@ def continue_branch(spec: ProblemSpec, lam_window=None,
             termination = "step-underflow"
             break
         wv, lv = accepted
-        points.append(make_point(spec, lv, wv, with_gamma1=options.with_gamma1))
+        points.append(make_point(spec, lv, wv, with_gamma1=options.with_gamma1, warm=cur))
         ds = min(ds * 1.3, options.ds_max)
         if lv < lam_floor:
             termination = "lam-floor"

@@ -161,3 +161,5 @@ class SolutionPoint:
     nehari: NehariDiagnostics
     sup_norm: float
     positive: bool
+    # gamma_1's boundary-L2 eigenfunction values, None without gamma_1
+    gamma1_eigenfunction: np.ndarray | None = field(default=None, repr=False, compare=False)

@@ -22,30 +22,38 @@ from .problem import (
     residual_vector,
 )
 from .spectral import gamma1 as _gamma1
-from .spectral import principal_eigenvalue
+from .spectral import lifted_cholesky, principal_eigenvalue
 
 NEWTON_TOL = 1e-11
 GRAD_TOL = 1e-10
 _MAX_DAMPING = 30
 _MAX_NEWTON = 200
 _MAX_DESCENT = 50_000
-# Forcing term of the inexact Newton step taken on kept LU factors: the step is
+# Forcing term of the inexact Newton step taken on kept factors: the step is
 # used when its linear residual is at most this fraction of |F|.
 _REUSE_ETA = 1e-4
 
 
-def make_point(spec: ProblemSpec, lam: float, w, with_gamma1: bool = True) -> SolutionPoint:
-    """Package a converged trace with its diagnostics."""
+def make_point(spec: ProblemSpec, lam: float, w, with_gamma1: bool = True,
+               warm: SolutionPoint | None = None) -> SolutionPoint:
+    """Package a converged trace with its diagnostics; gamma_1's root search
+    starts from the gamma_1 and eigenfunction of ``warm``, a nearby point, when
+    that point has them."""
     lam = float(lam)
     wv = as_values(spec.domain, w)
     res = float(np.linalg.norm(residual_vector(spec, lam, wv)))
     positive = bool(np.min(wv) > 0.0)
-    gam = math.nan
+    gam, eigenfunction = math.nan, None
     if with_gamma1:
-        gam = _gamma1(spec.domain, spec.g, lam, wv, spec.p,
-                      h=spec.superlinear_weight).value
+        start = None
+        if warm is not None and warm.gamma1_eigenfunction is not None:
+            start = (warm.gamma1, warm.gamma1_eigenfunction)
+        pair = _gamma1(spec.domain, spec.g, lam, wv, spec.p,
+                       h=spec.superlinear_weight, warm=start)
+        gam, eigenfunction = pair.value, pair.eigenfunction.values
     diag = functionals(spec, lam, wv)
-    return SolutionPoint(lam, wv, res, gam, diag, float(np.max(np.abs(wv))), positive)
+    return SolutionPoint(lam, wv, res, gam, diag, float(np.max(np.abs(wv))), positive,
+                         eigenfunction)
 
 
 def newton_solve(spec: ProblemSpec, lam: float, init, *,
@@ -53,15 +61,17 @@ def newton_solve(spec: ProblemSpec, lam: float, init, *,
     """Damped Newton on the boundary-reduced residual from a positive init.
 
     Steps are halved (up to 30 times) until the iterate stays in the positive
-    cone and the residual falls; LeftPositiveCone when no halving does.  The
-    Jacobian is factored by LAPACK getrf, and a zero pivot raises
-    SingularJacobian.  After a damped step the factors are kept: the step s
-    they give at the new iterate w is taken as an inexact Newton step (Dembo,
-    Eisenstat & Steihaug 1982) when |F(w) - F'(w) s| <= eta |F(w)|, eta =
-    _REUSE_ETA = 1e-4, with F'(w) s = Lambda s - d s (d from
-    jacobian_diagonal, no Jacobian assembled).  The Jacobian is factored
-    afresh after every full step, when that test fails, and when the reused
-    step is non-finite or cannot be damped; only a fresh step raises.
+    cone and the residual falls; LeftPositiveCone when no halving does.  Each
+    fresh Jacobian is factored in place by ``_jacobian_solver``: one Cholesky
+    factorization lifted along w, or LU where that lift is not positive
+    definite; a non-finite step raises SingularJacobian.  After a damped step
+    the factors are kept: the step s they give at the new iterate w is taken
+    as an inexact Newton step (Dembo, Eisenstat & Steihaug 1982) when
+    |F(w) - F'(w) s| <= eta |F(w)|, eta = _REUSE_ETA = 1e-4, with
+    F'(w) s = Lambda s - d s (d from jacobian_diagonal, no Jacobian
+    assembled).  The Jacobian is factored afresh after every full step, when
+    that test fails, and when the reused step is non-finite or cannot be
+    damped; only a fresh step raises.
     """
     w = as_values(spec.domain, init).copy()
     if w.min() <= 0.0:
@@ -69,20 +79,20 @@ def newton_solve(spec: ProblemSpec, lam: float, init, *,
     lap = dtn_matrix(spec.domain)
     res = residual_vector(spec, lam, w)
     res_norm = math.sqrt(res @ res)
-    factors = None  # LU of an earlier iterate's Jacobian, kept after a damped step
+    solve = None  # an earlier iterate's Jacobian solver, kept after a damped step
     for _ in range(_MAX_NEWTON):
         if res_norm < tol * (1.0 + float(abs(w).max()) ** spec.p):
             return make_point(spec, lam, w, with_gamma1)
         moved = None
-        if factors is not None:
-            step = dgetrs(*factors, res)[0]
+        if solve is not None:
+            step = solve(res)
             if np.isfinite(step).all():
                 linear = res - (lap @ step - jacobian_diagonal(spec, lam, w) * step)
                 if math.sqrt(linear @ linear) <= _REUSE_ETA * res_norm:
                     moved = _damped_step(spec, lam, w, step, res_norm)
         if moved is None:
-            factors = _lu_factor(residual_jacobian(spec, lam, w))
-            step = dgetrs(*factors, res)[0]
+            solve = _jacobian_solver(residual_jacobian(spec, lam, w), w)
+            step = solve(res)
             if not np.isfinite(step).all():
                 raise SingularJacobian("non-finite Newton step")
             moved = _damped_step(spec, lam, w, step, res_norm)
@@ -90,8 +100,28 @@ def newton_solve(spec: ProblemSpec, lam: float, init, *,
                 raise LeftPositiveCone("no damped step stays positive and lowers the residual")
         w, res, res_norm, alpha = moved
         if alpha == 1.0:
-            factors = None
+            solve = None
     raise MaxIterations(f"Newton stalled at residual {res_norm}")
+
+
+def _jacobian_solver(jac: np.ndarray, w: np.ndarray):
+    """Solver r -> jac^-1 r, factoring the Fortran-ordered Jacobian in place.
+
+    At a positive solution w, w^T F'(w) w = -(p - 1) G(w) < 0, and for lambda
+    in (0, lambda_1) F'(w) has exactly one negative eigenvalue where
+    mu_2^+ > p, so ``lifted_cholesky``
+    along w / |w|, c = max|diag jac|, factors it there and nearby.  Where the
+    lifted matrix is not positive definite (a Morse index of 2 or more),
+    LAPACK getrf factors the Jacobian instead.
+    """
+    solve = lifted_cholesky(jac, w / math.sqrt(w @ w), float(np.abs(jac.diagonal()).max()))
+    if solve is None:
+        lu, piv = _lu_factor(jac)
+
+        def solve(r):
+            return dgetrs(lu, piv, r)[0]
+
+    return solve
 
 
 def _lu_factor(jac: np.ndarray):

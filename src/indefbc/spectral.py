@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .domain import (
     INTERVAL,
@@ -48,8 +48,8 @@ _MU2_RTOL = 1e-10
 _DEFLATE_RTOL = 1e-5
 # The certified eigen-step factors h - tau I with tau = rho + _SHIFT_GAP max|h|, rho
 # the warm guess's Rayleigh quotient, and inverse-iterates at most _INVERSE_STEPS times
-# (each iteration about a quarter of the factorization's cost at m = 128, an eigh
-# fallback about five factorizations).
+# (each iteration about a fifth of the lifted factorization's cost at m = 128, an eigh
+# fallback about ten factorizations).
 _SHIFT_GAP = 1e-8
 _INVERSE_STEPS = 8
 
@@ -241,40 +241,60 @@ def principal_eigenvalue(domain: Domain, g) -> EigenPair:
     return _checked_pair(domain, lam, func, defect, lam * gv, "H1", "lambda1")
 
 
-def _negative_count(ldu: np.ndarray, ipiv: np.ndarray) -> int:
-    """Negative eigenvalues of D in dsytrf's lower L D L^T: its 1x1 blocks where
-    ipiv > 0, its 2x2 blocks on the pairs of rows where ipiv < 0."""
-    d = np.diagonal(ldu)
-    if ipiv.min() > 0:  # 1x1 blocks only, as in most eigen-steps
-        return int(np.count_nonzero(d < 0.0))
-    start = np.flatnonzero(ipiv < 0)[::2]
-    a, b, c = d[start], ldu[start + 1, start], d[start + 1]
-    det = a * c - b * b
-    return (int(np.count_nonzero(d[ipiv > 0] < 0.0)) + int(np.count_nonzero(det < 0.0))
-            + 2 * int(np.count_nonzero((det > 0.0) & (a < 0.0))))
+def lifted_cholesky(a: np.ndarray, u: np.ndarray, c: float):
+    """Solver r -> a^-1 r from one Cholesky factorization of a + c u u^T, or None.
 
+    ``a`` is symmetric and Fortran-ordered, ``u`` a unit vector and c >= 0.
+    BLAS dsyr lifts a's lower triangle by c u u^T in place, and dpotrf factors
+    it there, a + c u u^T = L L^T, leaving the strict upper triangle, which
+    neither reads, as it was.  A success certifies that a has at most one
+    eigenvalue <= 0, since by Cauchy interlacing lambda_2(a) >= lambda_1(L L^T)
+    > 0 (Parlett, The Symmetric Eigenvalue Problem); a failure (the lifted
+    matrix not numerically positive definite) rebuilds a from that triangle
+    and returns None.  With v = L^-1 u, a = L (I - c v v^T) L^T, and
+    Sherman-Morrison (Golub & Van Loan 2.1.4) gives
+    a^-1 r = L^-T (y + k (v^T y) v), y = L^-1 r, k = c / (1 - c v^T v): two
+    triangular solves (dtrsv) per solve.  Where 1 - c v^T v is 0 (a singular),
+    every solve is NaN.
+    """
+    diagonal = a.diagonal().copy()
+    lower, info = lapack.dpotrf(blas.dsyr(c, u, lower=1, a=a, overwrite_a=1),
+                                lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        upper = np.triu(a, 1)
+        a[...] = upper + upper.T
+        a.ravel(order="K")[:: len(a) + 1] = diagonal
+        return None
+    v = blas.dtrsv(lower, u, lower=1)
+    denominator = 1.0 - c * float(v @ v)
+    if denominator == 0.0:  # k = +-inf: a is singular, and no solve is finite
+        return lambda r: np.full(len(r), math.nan)
+    k = c / denominator
 
-@lru_cache(maxsize=None)
-def _sytrf_lwork(m: int) -> int:
-    """dsytrf's optimal workspace for an m x m matrix, queried once per m."""
-    return int(lapack.dsytrf_lwork(m, lower=1)[0])
+    def solve(r):
+        y = blas.dtrsv(lower, r, lower=1)
+        y += (k * float(v @ y)) * v
+        return blas.dtrsv(lower, y, lower=1, trans=1, overwrite_x=1)
+
+    return solve
 
 
 def _smallest_eigenpair(h: np.ndarray, guess: np.ndarray | None) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue of the symmetric h and a unit eigenvector.
 
-    From a warm guess with Rayleigh quotient rho, one Bunch-Kaufman L D L^T
-    factorization (dsytrf) of h - tau I, tau just above rho, drives inverse
-    iteration (dsytrs).  An iterate y with Rayleigh quotient beta and residual
-    r = |h y - beta y| is accepted when
-    - D has exactly one negative eigenvalue: by Sylvester's law of inertia h
-      has exactly one eigenvalue below tau, the smallest;
+    From a warm unit guess u with Rayleigh quotient rho, one Cholesky
+    factorization of h - tau I lifted along u (``lifted_cholesky``, c = max|h|),
+    tau just above rho, drives inverse iteration.  An iterate y with Rayleigh
+    quotient beta and residual r = |h y - beta y| is accepted when
+    - the lifted factorization succeeded: h - tau I has at most one eigenvalue
+      <= 0, so every eigenvalue of h but the smallest lies above tau;
     - beta + r < tau: [beta - r, beta + r] holds an eigenvalue of h, which
       lies below tau, so it is that smallest one, within r of beta;
     - r^2 <= eps max|h| (tau - beta): the other eigenvalues lie above tau, so
       by Kato-Temple beta is within eps max|h| of it, as good as ``eigh``
-    (Parlett, The Symmetric Eigenvalue Problem).  Otherwise, or with no guess
-    (None, zero or non-finite), the pair comes from ``eigh``.
+    (Parlett, The Symmetric Eigenvalue Problem).  Otherwise, with no guess
+    (None, zero or non-finite), or at once on a non-finite iterate (tau on an
+    eigenvalue of h), the pair comes from ``eigh``.
     """
     norm = 0.0 if guess is None else float(np.linalg.norm(guess))
     if 0.0 < norm < math.inf:
@@ -283,11 +303,12 @@ def _smallest_eigenpair(h: np.ndarray, guess: np.ndarray | None) -> tuple[float,
         tau = float(y @ h @ y) + _SHIFT_GAP * scale
         shifted = h.T.copy(order="K")  # h (symmetric) in Fortran order, factored in place
         shifted.ravel(order="K")[:: len(h) + 1] -= tau
-        ldu, ipiv, info = lapack.dsytrf(shifted, lower=1, overwrite_a=1,
-                                        lwork=_sytrf_lwork(len(h)))
-        if info == 0 and _negative_count(ldu, ipiv) == 1:
+        solve = lifted_cholesky(shifted, y, scale)
+        if solve is not None:
             for _ in range(_INVERSE_STEPS):
-                x = lapack.dsytrs(ldu, ipiv, y, lower=1)[0]
+                x = solve(y)
+                if not np.isfinite(x).all():
+                    break
                 y = x / np.linalg.norm(x)
                 hy = h @ y
                 beta = float(y @ hy)
@@ -352,15 +373,15 @@ def _newton_root(evaluate, x: float, lo: float, hi: float, label: str):
 
 
 def _shifted_root(domain: Domain, weight: np.ndarray, shift: float, guess: np.ndarray,
-                  label: str) -> EigenPair:
+                  label: str, start: float = 0.0) -> EigenPair:
     """Root s of beta(s) - shift * s, beta(s) the smallest eigenvalue of L_s - diag(weight),
     and its boundary-L2 eigenfunction.
 
     In the basis U that diagonalizes every L_s, beta(s) is the smallest
     eigenvalue of diag(sigma_s) - U^T diag(weight) U, decreasing in s with
-    slope sum(sigma'_s y^2) for its unit eigenvector y.  Each evaluation starts
-    warm from the last y (the first from U^T guess); the returned pair is
-    checked against the assembled nodal matrix.
+    slope sum(sigma'_s y^2) for its unit eigenvector y.  Newton starts at
+    ``start`` and each evaluation warm from the last y (the first from
+    U^T guess); the returned pair is checked against the assembled nodal matrix.
     """
     basis = dtn_basis(domain)
     form = basis.T @ (weight[:, None] * basis)
@@ -377,7 +398,7 @@ def _shifted_root(domain: Domain, weight: np.ndarray, shift: float, guess: np.nd
         return beta - shift * s, float(slope @ (y * y)) - shift, y
 
     s_max = first_dirichlet_eigenvalue(domain) - 2 * DIRICHLET_GUARD
-    s, y = _newton_root(evaluate, 0.0, _S_FLOOR, s_max, label)
+    s, y = _newton_root(evaluate, start, _S_FLOOR, s_max, label)
     func = _boundary_l2_normalize(domain, basis @ y)
     shifted = weight + shift * s
     defect = dtn_matrix(domain, s) @ func - domain.weights * shifted * func
@@ -393,18 +414,23 @@ def sigma1(domain: Domain, g, lam: float) -> EigenPair:
     return _shifted_root(domain, lam * as_values(domain, g), 0.0, np.ones(domain.m), "sigma1")
 
 
-def gamma1(domain: Domain, g, lam: float, w, p: float, h=None) -> EigenPair:
+def gamma1(domain: Domain, g, lam: float, w, p: float, h=None, warm=None) -> EigenPair:
     """Stability eigenvalue gamma_1 of the linearization at a solution w.
 
     Root of gamma -> smallest eigenvalue of the pencil
     (DtN_gamma - M_{lambda g + p h w^(p-1)} - gamma Q) with respect to Q,
-    where h defaults to g (h = f for the f-variant).
+    where h defaults to g (h = f for the f-variant).  The root search starts
+    at gamma = 0 from w, or, given ``warm`` = (gamma_1, eigenfunction values)
+    of a nearby solution, at min(gamma_1, 0) from that eigenfunction.
     """
     gv = as_values(domain, g)
     wv = as_values(domain, w)
     hv = gv if h is None else as_values(domain, h)
     weight = lam * gv + p * hv * np.abs(wv) ** (p - 1.0)
-    return _shifted_root(domain, weight, 1.0, wv, "gamma1")
+    if warm is None:
+        return _shifted_root(domain, weight, 1.0, wv, "gamma1")
+    value, eigenfunction = warm
+    return _shifted_root(domain, weight, 1.0, eigenfunction, "gamma1", min(value, 0.0))
 
 
 def _pencil_spectrum(a: np.ndarray, b: np.ndarray, at_zero: bool = False) -> tuple:

@@ -265,6 +265,20 @@ def test_jacobian_is_fortran_ordered_dtn_minus_diagonal(interval):
         assert np.array_equal(jac, want)
 
 
+def test_newton_raises_on_a_non_finite_lifted_step(monkeypatch):
+    """A non-finite step from the lifted factorization (a singular Jacobian, k = +-inf)
+    raises SingularJacobian, as a zero LU pivot does."""
+    dom = build_domain("unit-disk", 64)
+    spec = ProblemSpec(dom, 2.0, sign_changing_disk_weight(dom))
+
+    def singular_lift(jac, u, c):
+        return lambda r: np.full(len(r), math.nan)
+
+    monkeypatch.setattr(indefbc.solve, "lifted_cholesky", singular_lift)
+    with pytest.raises(SingularJacobian, match="non-finite Newton step"):
+        newton_solve(spec, 0.5, np.ones(dom.m), with_gamma1=False)
+
+
 def test_lu_factor_works_in_place(interval):
     """getrf overwrites the Jacobian with its factors, which match scipy's lu_factor
     of a copy to the bit."""

@@ -399,36 +399,139 @@ def test_disk_branch_needs_few_beta_evaluations_per_gamma1(monkeypatch):
 
 def test_disk_branch_gamma1_rarely_falls_back_on_eigh(monkeypatch):
     """On average at most one beta evaluation per gamma_1 goes to eigh: the rest are
-    certified L D L^T eigen-steps."""
+    certified lifted-Cholesky eigen-steps."""
     calls, _, fallbacks = _gamma1_work_along_disk_branch(monkeypatch)
     assert calls >= 10
     assert fallbacks <= calls
 
 
-def test_ldlt_inertia_counts_negative_eigenvalues():
-    """The negative-eigenvalue count read off dsytrf's D, with its 1x1 and 2x2
-    blocks, is the count of negative eigenvalues of the factored matrix."""
+def test_branch_gamma1_starts_warm_from_the_previous_point(monkeypatch, disk32):
+    """continue_branch computes gamma_1 once per point, each point after the seeds
+    warm from the previous point's gamma_1 and eigenfunction, and every value
+    equals the cold root's to 1e-13."""
+    spec = ProblemSpec(disk32, 2.0, sign_changing_disk_weight(disk32))
+    warms = []
+    gam = indefbc.solve._gamma1
+
+    def recorded(*args, **kwargs):
+        warms.append(kwargs.get("warm"))
+        return gam(*args, **kwargs)
+
+    monkeypatch.setattr(indefbc.solve, "_gamma1", recorded)
+    points = continue_branch(spec).points
+    assert len(warms) == len(points)
+    assert warms[0] is None and warms[-1] is not None
+    for prev, pt, warm in zip(points, points[1:], warms[1:]):
+        if warm is not None:
+            assert warm[0] == prev.gamma1 and warm[1] is prev.gamma1_eigenfunction
+    for pt in points:
+        cold = gamma1(disk32, spec.g, pt.lam, pt.w, spec.p).value
+        assert abs(pt.gamma1 - cold) <= 1e-13
+
+
+def _symmetric_with_spectrum(rng, vals):
+    """Q diag(vals) Q^T, symmetric to the bit, in Fortran order, with Q's columns."""
+    q = np.linalg.qr(rng.normal(size=(len(vals), len(vals))))[0]
+    a = (q * vals) @ q.T
+    return np.asfortranarray(0.5 * (a + a.T)), q
+
+
+def test_lifted_cholesky_solves_with_at_most_one_negative_eigenvalue():
+    """With no or one negative eigenvalue, lifted along a unit u within 0.1 of its
+    eigenvector by c = 2 max|eigenvalue|, the Cholesky factorization succeeds and
+    Sherman-Morrison solves a x = r to 1e-12 relative of scipy's solve."""
     rng = np.random.default_rng(5)
     for m in (2, 7, 64):
-        a = rng.normal(size=(m, m))
-        sym = a + a.T
-        vals = np.linalg.eigvalsh(sym)
-        for shift in (vals[0] - 1.0, 0.5 * (vals[0] + vals[1]), 0.0, vals[-1] + 1.0):
-            ldu, ipiv, info = scipy.linalg.lapack.dsytrf(sym - shift * np.eye(m), lower=1)
-            assert info == 0
-            assert indefbc.spectral._negative_count(ldu, ipiv) == np.count_nonzero(vals < shift)
-    # a lone 2x2 block (ipiv = (-1, -1)) of each kind, stored in the lower triangle
-    for block, negatives in (([[-2.0, 0.0], [1.0, -3.0]], 2), ([[2.0, 0.0], [1.0, 3.0]], 0),
-                             ([[1.0, 0.0], [2.0, 1.0]], 1)):
-        assert indefbc.spectral._negative_count(np.array(block), np.array([-1, -1])) == negatives
+        for negative in (0, 1):
+            vals = rng.uniform(0.1, 3.0, m)
+            vals[0] = -rng.uniform(0.1, 3.0) if negative else vals[0]
+            a, q = _symmetric_with_spectrum(rng, vals)
+            other = q[:, 1:] @ rng.normal(size=m - 1)
+            u = q[:, 0] + 0.1 * other / np.linalg.norm(other)
+            u /= np.linalg.norm(u)
+            r = rng.normal(size=m)
+            want = scipy.linalg.solve(a, r)
+            c = 2.0 * float(np.abs(vals).max())
+            solve = indefbc.spectral.lifted_cholesky(a.copy(order="F"), u, c)
+            assert solve is not None
+            assert np.linalg.norm(solve(r) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_lifted_cholesky_refuses_two_negative_eigenvalues():
+    """With two negative eigenvalues no rank-one lift is positive definite: the
+    factorization reports failure and leaves the matrix as it was."""
+    rng = np.random.default_rng(6)
+    for m in (2, 7, 64):
+        vals = rng.uniform(0.1, 3.0, m)
+        vals[:2] = -rng.uniform(0.1, 3.0, 2)
+        a, q = _symmetric_with_spectrum(rng, vals)
+        for u in (q[:, 0], q[:, 1], rng.normal(size=m)):
+            for c in (1.0, 100.0):
+                lifted = a.copy(order="F")
+                assert indefbc.spectral.lifted_cholesky(lifted, u / np.linalg.norm(u), c) is None
+                assert np.array_equal(lifted, a)
+
+
+def test_lifted_cholesky_singular_solve_is_non_finite():
+    """A matrix singular along u (diag(0, spd block), permuted) factors once lifted,
+    with 1 - c v^T v exactly 0 (c = 4, v = L^-1 u = u / 2), so every solve is
+    non-finite."""
+    rng = np.random.default_rng(7)
+    for m in (2, 7, 64):
+        a = np.zeros((m, m))
+        block = rng.normal(size=(m - 1, m - 1))
+        a[1:, 1:] = block @ block.T + np.eye(m - 1)
+        perm = rng.permutation(m)
+        a = np.asfortranarray(a[np.ix_(perm, perm)])
+        u = np.zeros(m)
+        u[np.flatnonzero(perm == 0)] = 1.0
+        solve = indefbc.spectral.lifted_cholesky(a, u, 4.0)
+        assert solve is not None
+        assert not np.isfinite(solve(rng.normal(size=m))).any()
+
+
+def test_lifted_cholesky_factors_in_place(monkeypatch):
+    """The eigen-step and Newton hand the lift a Fortran-ordered matrix, which it
+    overwrites with the Cholesky factor of a + c u u^T in its lower triangle,
+    leaving the strict upper triangle as it was."""
+    rng = np.random.default_rng(8)
+    m = 64
+    vals = rng.uniform(0.1, 3.0, m)
+    vals[0] = -1.0
+    a, q = _symmetric_with_spectrum(rng, vals)
+    u = q[:, 0]
+    lifted = a.copy(order="F")
+    assert indefbc.spectral.lifted_cholesky(lifted, u, 3.0) is not None
+    want = np.linalg.cholesky(a + 3.0 * np.outer(u, u))
+    assert np.max(np.abs(np.tril(lifted) - want)) <= 1e-13 * np.abs(want).max()
+    assert np.array_equal(np.triu(lifted, 1), np.triu(a, 1))
+
+    dom = build_domain("unit-disk", 64)
+    basis = dtn_basis(dom)
+    form = basis.T @ (sign_changing_disk_weight(dom)[:, None] * basis)
+    h = np.diag(dtn_symbol(dom, -2.0)[0]) - 0.5 * (form + form.T)
+    spec = ProblemSpec(dom, 2.0, sign_changing_disk_weight(dom))
+    seen = []
+    lift = indefbc.spectral.lifted_cholesky
+
+    def recorded(matrix, u, c):
+        seen.append(matrix.flags.f_contiguous)
+        return lift(matrix, u, c)
+
+    monkeypatch.setattr(indefbc.spectral, "lifted_cholesky", recorded)
+    monkeypatch.setattr(indefbc.solve, "lifted_cholesky", recorded)
+    indefbc.spectral._smallest_eigenpair(h, np.linalg.eigh(h)[1][:, 0] + 1e-3)
+    newton_solve(spec, 0.5 * principal_eigenvalue(dom, spec.g).value,
+                 np.full(dom.m, 1.0), with_gamma1=False)
+    assert len(seen) >= 2 and all(seen)
 
 
 def test_smallest_eigenpair_certifies_or_falls_back(monkeypatch):
     """The eigen-step returns the smallest eigenpair of a disk beta matrix: from a
     near guess without eigh, and through eigh from a guess equal to the second
     eigenvector or orthogonal to the first, whose Rayleigh quotient lies above
-    the second eigenvalue, so the inertia of h - tau I refuses the step, and
-    from a zero guess."""
+    the second eigenvalue, so h - tau I has two negative eigenvalues and its
+    lifted Cholesky factorization fails, and from a zero guess."""
     dom = build_domain("unit-disk", 64)
     basis = dtn_basis(dom)
     weight = 1.5 * sign_changing_disk_weight(dom)
@@ -457,34 +560,32 @@ def test_smallest_eigenpair_certifies_or_falls_back(monkeypatch):
         assert abs(abs(float(y @ vecs[:, 0])) - 1.0) <= 1e-12
 
 
-def test_smallest_eigenpair_factors_in_place(monkeypatch):
-    """The eigen-step hands dsytrf h - tau I in Fortran order, which it factors in
-    place, and queries dsytrf's workspace once per matrix size."""
+def test_smallest_eigenpair_leaves_a_non_finite_iterate_for_eigh(monkeypatch):
+    """A non-finite inverse-iteration iterate (tau on an eigenvalue of h, k = +-inf)
+    sends the eigen-step to eigh at once, after one solve."""
     dom = build_domain("unit-disk", 64)
     basis = dtn_basis(dom)
     form = basis.T @ (sign_changing_disk_weight(dom)[:, None] * basis)
     h = np.diag(dtn_symbol(dom, -2.0)[0]) - 0.5 * (form + form.T)
-    vecs = np.linalg.eigh(h)[1]
-    seen, queries = [], []
-    lapack = scipy.linalg.lapack
-    dsytrf, dsytrf_lwork = lapack.dsytrf, lapack.dsytrf_lwork
+    vals, vecs = np.linalg.eigh(h)
+    solves, eighs = [], []
+    eigh = scipy.linalg.eigh
 
-    def recorded(a, *args, **kwargs):
-        out = dsytrf(a, *args, **kwargs)
-        seen.append((a.flags.f_contiguous, np.shares_memory(out[0], a)))
-        return out
+    def non_finite_lift(matrix, u, c):
+        def solve(r):
+            solves.append(1)
+            return np.full(len(r), math.inf)
+        return solve
 
-    def counted(*args, **kwargs):
-        queries.append(args[0])
-        return dsytrf_lwork(*args, **kwargs)
+    def counted_eigh(*args, **kwargs):
+        eighs.append(1)
+        return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(lapack, "dsytrf", recorded)
-    monkeypatch.setattr(lapack, "dsytrf_lwork", counted)
-    indefbc.spectral._sytrf_lwork.cache_clear()
-    for k in range(3):
-        indefbc.spectral._smallest_eigenpair(h, vecs[:, 0] + 1e-3 * vecs[:, k + 1])
-    assert seen == [(True, True)] * 3
-    assert queries == [dom.m]
+    monkeypatch.setattr(indefbc.spectral, "lifted_cholesky", non_finite_lift)
+    monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
+    beta, y = indefbc.spectral._smallest_eigenpair(h, vecs[:, 0] + 1e-3 * vecs[:, 1])
+    assert len(solves) == 1 and len(eighs) == 1
+    assert abs(beta - vals[0]) <= 1e-14 * np.abs(h).max()
 
 
 def test_disk_eigenvalues_converge_in_m():
@@ -640,6 +741,54 @@ def test_mu_gap_at_p_matches_jacobian_regularity(disk16):
         smallest_sv = float(np.linalg.svd(
             residual_jacobian(spec, point.lam, point.w), compute_uv=False)[-1])
         assert (gap > 1e-6) == (smallest_sv > 1e-8)
+
+
+def _two_bump_branch():
+    """The m = 64 disk branch of the two-bump weight at p = 2, without gamma_1."""
+    dom = build_domain("unit-disk", 64)
+    spec = ProblemSpec(dom, 2.0, _two_bump_weight(dom))
+    return spec, continue_branch(spec, options=StepOptions(with_gamma1=False))
+
+
+def test_lifted_jacobian_factors_exactly_where_mu2_plus_exceeds_p():
+    """Along the two-bump branch, the Newton Jacobian A - pB lifted along w factors
+    (Morse index <= 1) at exactly the points with lambda in (0, lambda_1) where
+    mu_2^+ > p: 16 points down to 0.672 lambda_1, and not the 5 below, where the
+    Morse index is 2."""
+    spec, branch = _two_bump_branch()
+    lam1 = branch.bifurcation_lambda
+    factored = []
+    for pt in branch.points:
+        if not 0.0 < pt.lam < lam1:
+            continue
+        jac = residual_jacobian(spec, pt.lam, pt.w)
+        lifted = indefbc.spectral.lifted_cholesky(
+            jac, pt.w / np.linalg.norm(pt.w), float(np.abs(np.diag(jac)).max()))
+        mu2 = weighted_steklov_spectrum(spec.domain, spec.g, pt.lam, pt.w, spec.p).mu2_plus
+        assert (lifted is not None) == (mu2 > spec.p)
+        factored.append(lifted is not None)
+    assert factored.count(True) >= 10 and factored.count(False) >= 3
+
+
+def test_newton_converges_through_the_lu_fallback(monkeypatch):
+    """Below 0.5 lambda_1 on the two-bump branch the Jacobian's Morse index is 2, so
+    Newton from a perturbed branch point factors it by LU, and still converges
+    back to that point."""
+    spec, branch = _two_bump_branch()
+    point = next(pt for pt in branch.points if 0.0 < pt.lam < 0.5 * branch.bifurcation_lambda)
+    calls = []
+    lu_factor = indefbc.solve._lu_factor
+
+    def counted(jac):
+        calls.append(1)
+        return lu_factor(jac)
+
+    monkeypatch.setattr(indefbc.solve, "_lu_factor", counted)
+    init = point.w * (1.0 + 0.05 * np.cos(3.0 * spec.domain.nodes))
+    solved = newton_solve(spec, point.lam, init, with_gamma1=False)
+    assert calls
+    assert solved.residual <= 1e-11 * (1.0 + solved.sup_norm ** spec.p)
+    assert np.max(np.abs(solved.w - point.w)) <= 1e-9 * point.sup_norm
 
 
 def _mu_spectrum_reference(domain, g, lam, w, p, h=None):
