@@ -202,10 +202,24 @@ def _plain_newton(spec, lam, init, *, tol=NEWTON_TOL, with_gamma1=True):
     raise MaxIterations(f"Newton stalled at residual {res_norm}")
 
 
+def _same_probe(spec, lam, monkeypatch):
+    """The 32-init probe's failures and findings, with newton_solve and with
+    plain damped Newton in its place, agree."""
+    got = nonexistence_probe(spec, lam, 32, seed=4)
+    with monkeypatch.context() as patch:
+        patch.setattr(indefbc.solve, "newton_solve", _plain_newton)
+        want = nonexistence_probe(spec, lam, 32, seed=4)
+    assert got.failures == want.failures
+    assert len(got.findings) == len(want.findings)
+    for a, b in zip(got.findings, want.findings):
+        assert np.max(np.abs(a.w - b.w)) <= 1e-12 * (1.0 + b.sup_norm)
+
+
 def test_probe_matches_plain_newton_reference(interval, monkeypatch):
-    """Reusing LU factors after damped steps changes no probe outcome: 32-init
-    probes at 0.5, 1 and 1.5 lambda_1 give the failure counts and findings of
-    plain damped Newton."""
+    """Reusing factors after damped steps and over-relaxing steps on the kernel
+    ray change no probe outcome: 32-init probes at 0.5, 1 and 1.5 lambda_1, and
+    on the m = 16 disk at (1 - delta) lambda_1 next to the degenerate zero, give
+    the failure counts and findings of plain damped Newton."""
     cases = [(interval, G_1D)]
     for m in (64, 128):
         dom = build_domain("unit-disk", m)
@@ -214,14 +228,13 @@ def test_probe_matches_plain_newton_reference(interval, monkeypatch):
         spec = ProblemSpec(dom, 2.0, g)
         lam1 = principal_eigenvalue(dom, g).value
         for factor in (0.5, 1.0, 1.5):
-            got = nonexistence_probe(spec, factor * lam1, 32, seed=4)
-            with monkeypatch.context() as patch:
-                patch.setattr(indefbc.solve, "newton_solve", _plain_newton)
-                want = nonexistence_probe(spec, factor * lam1, 32, seed=4)
-            assert got.failures == want.failures
-            assert len(got.findings) == len(want.findings)
-            for a, b in zip(got.findings, want.findings):
-                assert np.max(np.abs(a.w - b.w)) <= 1e-12 * (1.0 + b.sup_norm)
+            _same_probe(spec, factor * lam1, monkeypatch)
+    disk = build_domain("unit-disk", 16)
+    g = sign_changing_disk_weight(disk)
+    lam1 = principal_eigenvalue(disk, g).value
+    for p in (1.5, 2.0, 3.0):
+        for delta in (1e-2, 1e-4, 0.0, -1e-3):
+            _same_probe(ProblemSpec(disk, p, g), (1.0 - delta) * lam1, monkeypatch)
     # g = (1, 1), lambda = 0 at w = (1, 1): the Jacobian [[-1, -1], [-1, -1]]
     flat = ProblemSpec(interval, 2.0, np.array([1.0, 1.0]))
     assert np.array_equal(residual_jacobian(flat, 0.0, np.ones(2)), -np.ones((2, 2)))
@@ -230,11 +243,59 @@ def test_probe_matches_plain_newton_reference(interval, monkeypatch):
             solver(flat, 0.0, np.ones(2))
 
 
+def test_probe_reports_no_collapsing_iterate(disk16):
+    """At lambda_1 Newton's absolute test passes iterates collapsing onto the
+    degenerate zero once sup^p is small (10 and 9 "solutions" of sup about 5e-5
+    and 3e-3 at p = 3 and 5 without the candidate polish); none is reported.
+    At (1 - 1e-4) lambda_1 the one small solution (sup 5.4e-5) still is, and
+    polished: its Newton step is below 1e-8 |w|."""
+    g = sign_changing_disk_weight(disk16)
+    lam1 = principal_eigenvalue(disk16, g).value
+    for p in (3.0, 5.0):
+        report = nonexistence_probe(ProblemSpec(disk16, p, g), lam1, 32, seed=4)
+        assert not report.findings
+    spec = ProblemSpec(disk16, 2.0, g)
+    lam = (1.0 - 1e-4) * lam1
+    report = nonexistence_probe(spec, lam, 32, seed=4)
+    assert len(report.findings) == 1
+    w = report.findings[0].w
+    step = np.linalg.solve(residual_jacobian(spec, lam, w), residual_vector(spec, lam, w))
+    assert 1e-5 < np.max(w) < 1e-4
+    assert np.linalg.norm(step) <= 1e-8 * np.linalg.norm(w)
+
+
+def test_newton_collapses_fast_at_the_degenerate_zero(monkeypatch):
+    """From w = 1e-2 phi_1 at lambda_1 on the m = 64 disk, where plain Newton
+    removes 1/p of w per step, newton_solve reaches the trivial zero with at
+    most half of plain Newton's Jacobians."""
+    dom = build_domain("unit-disk", 64)
+    g = sign_changing_disk_weight(dom)
+    pair = principal_eigenvalue(dom, g)
+    spec = ProblemSpec(dom, 2.0, g)
+    init = 1e-2 * np.abs(pair.eigenfunction.values)
+    calls = []
+    jacobian = residual_jacobian
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return jacobian(*args, **kwargs)
+
+    monkeypatch.setattr(indefbc.solve, "residual_jacobian", counted)
+    point = newton_solve(spec, pair.value, init, tol=1e-13, with_gamma1=False)
+    fast = len(calls)
+    monkeypatch.setitem(_plain_newton.__globals__, "residual_jacobian", counted)
+    calls.clear()
+    plain = _plain_newton(spec, pair.value, init, tol=1e-13, with_gamma1=False)
+    assert point.sup_norm < 1e-6 and plain.sup_norm < 1e-6
+    assert 1 <= fast <= 0.5 * len(calls)
+
+
 def test_probe_reuses_factorizations(monkeypatch):
     """Jacobians assembled per init by a 32-init probe on the m = 128 disk: at most
-    10 at 0.5 and 1.5 lambda_1 (14.1 and 17.2 without reuse), and no more than
-    the 21.9 of plain Newton at lambda_1, where the steps are full.  Each init
-    assembles at least one, through indefbc.solve's residual_jacobian."""
+    10 at 0.5 and 1.5 lambda_1 (14.1 and 17.2 without reuse), and at most 12 at
+    lambda_1, where the steps are full and over-relaxed on the kernel ray (21.9
+    by plain Newton).  Each init assembles at least one, through indefbc.solve's
+    residual_jacobian."""
     dom = build_domain("unit-disk", 128)
     g = sign_changing_disk_weight(dom)
     spec = ProblemSpec(dom, 2.0, g)
@@ -246,7 +307,7 @@ def test_probe_reuses_factorizations(monkeypatch):
         return residual_jacobian(*args, **kwargs)
 
     monkeypatch.setattr(indefbc.solve, "residual_jacobian", counted)
-    for factor, most in ((0.5, 10.0), (1.0, 21.875), (1.5, 10.0)):
+    for factor, most in ((0.5, 10.0), (1.0, 12.0), (1.5, 10.0)):
         calls.clear()
         nonexistence_probe(spec, factor * lam1, 32, seed=4)
         assert 1.0 <= len(calls) / 32 <= most
