@@ -1,7 +1,7 @@
 """Boundary-reduced positive solutions of superlinear problems with
 indefinite boundary weights: spectra, branches, and audits."""
 
-from .continuation import Branch, StepOptions, continue_branch, to_logistic, to_sppr
+from .continuation import Branch, continue_branch, to_logistic, to_sppr
 from .domain import BoundaryFunction, Domain, build_domain
 from .dtn import DtnOperator, assemble_dtn, assemble_helmholtz_dtn, dirichlet_energy
 from .experiments import (
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticsFit", "BoundaryFunction", "Branch", "Domain", "DtnOperator",
     "EigenPair", "MuSpectrum", "NehariDiagnostics", "Oracle1DReport",
-    "ProblemSpec", "SolutionPoint", "StepOptions", "SweepResult",
+    "ProblemSpec", "SolutionPoint", "SweepResult",
     "WeightFamily", "assemble_dtn", "assemble_helmholtz_dtn",
     "asymptotics_fit", "build_domain", "build_family", "continue_branch",
     "delta_sweep", "dirichlet_energy", "f_separation_check", "gamma1",

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .config import RunConfig, load_config
-from .continuation import continue_branch, StepOptions
+from .continuation import continue_branch
 from .domain import INTERVAL
 from .errors import ConfigError, IndefbcError, PencilNotPositiveDefinite
 from .experiments import asymptotics_fit, delta_sweep, oracle_1d
@@ -163,8 +163,7 @@ def cmd_solve(config: RunConfig, out_dir: str, verbose: bool) -> int:
 def cmd_branch(config: RunConfig, out_dir: str, verbose: bool) -> int:
     domain = config.build_domain()
     spec = config.build_spec(domain)
-    options = StepOptions(ds_min=config.step_min, ds_max=config.step_max)
-    branch = continue_branch(spec, options=options)
+    branch = continue_branch(spec, ds_min=config.step_min, ds_max=config.step_max)
     lam1 = branch.bifurcation_lambda
     lines = [CSV_HEADER]
     diagram = ["lambda,sup_norm"]
@@ -277,8 +276,8 @@ def cmd_oracle1d(config: RunConfig, out_dir: str, verbose: bool) -> int:
 def cmd_asympt(config: RunConfig, out_dir: str, verbose: bool) -> int:
     domain = config.build_domain()
     spec = config.build_spec(domain)
-    options = StepOptions(ds_min=config.step_min, ds_max=config.step_max)
-    branch = continue_branch(spec, options=options)
+    branch = continue_branch(spec, ds_min=config.step_min, ds_max=config.step_max,
+                             with_gamma1=False)  # the fit reads no gamma_1
     target = "logistic-u" if spec.form == LOGISTIC else "sppr-v"
     if branch.termination == "step-underflow":  # no fit on a trace that stopped short
         payload = _report(config, "asympt", {"target": target,

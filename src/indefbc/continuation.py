@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
 
 from .domain import as_values, boundary_integral
 from .dtn import dtn_matrix
@@ -32,24 +31,20 @@ from .problem import (
     residual_jacobian,
     residual_vector,
 )
-from .solve import make_point, newton_solve
+from .solve import NEWTON_TOL, _jacobian_solver, make_point, newton_solve
 from .spectral import principal_eigenvalue
 
 
-@dataclass(frozen=True)
-class StepOptions:
-    """Continuation step controls."""
-
-    eps_factor: float = 1e-4      # seed amplitude sets delta-lambda = eps_factor * lambda_1
-    ds_init: float = 0.02
-    ds_min: float = 1e-10
-    ds_max: float = 0.2
-    max_points: int = 400
-    lam_floor_factor: float = -0.05   # stop below lam_floor_factor * lambda_1
-    sup_ceiling: float = 1e6
-    corrector_tol: float = 1e-11
-    seed_target: float = 1e-2  # switch to arclength once sup reaches this
-    with_gamma1: bool = True
+# Step controls: the first seed's amplitude gives lambda_1 - lambda = EPS_FACTOR *
+# lambda_1; seeding switches to arclength once sup reaches SEED_TARGET; the
+# trace stops below LAM_FLOOR_FACTOR * lambda_1, past SUP_CEILING or at
+# MAX_POINTS points.
+EPS_FACTOR = 1e-4
+SEED_TARGET = 1e-2
+DS_INIT = 0.02
+LAM_FLOOR_FACTOR = -0.05
+SUP_CEILING = 1e6
+MAX_POINTS = 400
 
 
 @dataclass(frozen=True)
@@ -61,8 +56,8 @@ class Branch:
     bifurcation_lambda: float
     tangent: np.ndarray = field(repr=False)  # phi_1(g), H1-normalized
     direction: str  # "subcritical" | "supercritical"
-    # why continue_branch stopped: "lam-floor" (past lam_floor_factor * lambda_1),
-    # "window", "blow-up" (past sup_ceiling), "step-underflow" (no step of at least
+    # why continue_branch stopped: "lam-floor" (past LAM_FLOOR_FACTOR * lambda_1),
+    # "window", "blow-up" (past SUP_CEILING), "step-underflow" (no step of at least
     # ds_min accepted) or "max-points"; None for a Branch built by hand
     termination: str | None = None
 
@@ -83,8 +78,32 @@ def _weighted_dot(m: int, dw1, dl1, dw2, dl2) -> float:
     return float(dw1 @ dw2) / m + dl1 * dl2
 
 
-def _corrector(spec: ProblemSpec, w, lam, w_pred, lam_pred, t_w, t_lam, tol):
-    """Newton on the residual augmented with the arclength hyperplane."""
+def _bordered_step(spec: ProblemSpec, lam: float, w: np.ndarray, f: np.ndarray, n: float,
+                   t_w: np.ndarray, t_lam: float):
+    """(dw, dl) solving [J, F_lam; t_w^T / m, t_lam] [dw; dl] = [f; n], with
+    J = F'(w) and F_lam = -Q g w, by block elimination (Keller 1977) on the
+    factors of J that ``solve._jacobian_solver`` makes: with a = J^-1 f and
+    b = J^-1 F_lam, dl = (n - t_w.a / m) / (t_lam - t_w.b / m) and
+    dw = a - dl b.  CorrectorDivergence when J is singular or the step is
+    not finite.
+    """
+    m = spec.domain.m
+    try:
+        solve = _jacobian_solver(residual_jacobian(spec, lam, w), w)
+    except SingularJacobian as exc:
+        raise CorrectorDivergence(str(exc)) from exc
+    a = solve(f)
+    b = solve(-spec.domain.weights * spec.g * w)
+    dl = (n - t_w @ a / m) / (t_lam - t_w @ b / m)
+    dw = a - dl * b
+    if not (math.isfinite(dl) and np.isfinite(dw).all()):
+        raise CorrectorDivergence("non-finite corrector step")
+    return dw, dl
+
+
+def _corrector(spec: ProblemSpec, w, lam, w_pred, lam_pred, t_w, t_lam):
+    """Newton on the residual augmented with the arclength hyperplane: bordered
+    steps until |F| passes Newton's tolerance and the hyperplane defect 1e-12 (1 + sup)."""
     m = spec.domain.m
     wv = np.asarray(w, dtype=float).copy()
     lv = float(lam)
@@ -92,27 +111,15 @@ def _corrector(spec: ProblemSpec, w, lam, w_pred, lam_pred, t_w, t_lam, tol):
         f = residual_vector(spec, lv, wv)
         n = _weighted_dot(m, wv - w_pred, lv - lam_pred, t_w, t_lam)
         sup = float(np.max(np.abs(wv)))
-        if np.linalg.norm(f) < tol * (1.0 + sup ** spec.p) and abs(n) < 1e-12 * (1.0 + sup):
+        if np.linalg.norm(f) < NEWTON_TOL * (1.0 + sup ** spec.p) and abs(n) < 1e-12 * (1.0 + sup):
             return wv, lv
-        # the bordered matrix in Fortran order, which dgesv factors in place
-        ext = np.empty((m + 1, m + 1), order="F")
-        ext[:m, :m] = residual_jacobian(spec, lv, wv)
-        ext[:m, m] = -spec.domain.weights * spec.g * wv  # dF/dlambda
-        ext[m, :m] = t_w / m
-        ext[m, m] = t_lam
-        rhs = np.append(f, n)
-        step, info = dgesv(ext, rhs, overwrite_a=1, overwrite_b=1)[2:]
-        if info > 0:
-            raise CorrectorDivergence(f"singular bordered matrix: zero pivot in column {info - 1}")
-        if not np.all(np.isfinite(step)):
-            raise CorrectorDivergence("non-finite corrector step")
-        wv -= step[:m]
-        lv -= step[m]
+        dw, dl = _bordered_step(spec, lv, wv, f, n, t_w, t_lam)
+        wv -= dw
+        lv -= dl
     raise CorrectorDivergence("corrector did not converge")
 
 
-def _seed_points(spec: ProblemSpec, lam1: float, phi1: np.ndarray,
-                 options: StepOptions):
+def _seed_points(spec: ProblemSpec, lam1: float, phi1: np.ndarray, with_gamma1: bool):
     """Two corrected points just below the bifurcation, at trial amplitudes.
 
     The local slope of the bifurcating curve is read off the projection of
@@ -126,7 +133,7 @@ def _seed_points(spec: ProblemSpec, lam1: float, phi1: np.ndarray,
             "bifurcation slope not subcritical: needs G(phi_1) > 0 and int g phi_1^2 > 0"
         )
     slope = num / den
-    target_dl = options.eps_factor * lam1
+    target_dl = EPS_FACTOR * lam1
     eps = (target_dl / slope) ** (1.0 / (p - 1.0))
     # amplitude ladder: near the bifurcation the arclength corrector can
     # fall back onto the trivial line, so ride the local expansion
@@ -134,14 +141,13 @@ def _seed_points(spec: ProblemSpec, lam1: float, phi1: np.ndarray,
     # the iterate reaches a macroscopic scale
     seeds = []
     amp = eps
-    for _ in range(min(60, options.max_points)):
+    for _ in range(min(60, MAX_POINTS)):
         dl = slope * amp ** (p - 1.0)
         lam = lam1 - dl
         if lam < 0.5 * lam1:
             break
         try:
-            point = newton_solve(spec, lam, amp * phi1,
-                                 with_gamma1=options.with_gamma1)
+            point = newton_solve(spec, lam, amp * phi1, with_gamma1=with_gamma1)
         except (LeftPositiveCone, SingularJacobian, MaxIterations):
             point = None
         if point is None or point.sup_norm < 0.25 * amp * float(np.max(phi1)):
@@ -153,7 +159,7 @@ def _seed_points(spec: ProblemSpec, lam1: float, phi1: np.ndarray,
             amp *= 2.0
             continue
         seeds.append(point)
-        if len(seeds) >= 2 and point.sup_norm >= options.seed_target:
+        if len(seeds) >= 2 and point.sup_norm >= SEED_TARGET:
             break
         amp *= 2.0
     if len(seeds) < 2:
@@ -161,16 +167,17 @@ def _seed_points(spec: ProblemSpec, lam1: float, phi1: np.ndarray,
     return seeds
 
 
-def continue_branch(spec: ProblemSpec, lam_window=None,
-                    options: StepOptions | None = None) -> Branch:
+def continue_branch(spec: ProblemSpec, lam_window=None, *, ds_min: float = 1e-10,
+                    ds_max: float = 0.2, with_gamma1: bool = True) -> Branch:
     """Trace the positive-solution branch from (lambda_1(g), 0).
 
-    Secant predictor / Newton corrector with adaptive arclength step; the
-    scalar parameter is weighted 1 and the trace 1/sqrt(M).  Stops past
-    lambda = lam_floor_factor * lambda_1, at blow-up, at the window edge,
-    on step underflow or at max_points; ``Branch.termination`` says which.
+    Secant predictor / Newton corrector with an arclength step in
+    [ds_min, ds_max]; the scalar parameter is weighted 1 and the trace
+    1/sqrt(M).  Stops past lambda = LAM_FLOOR_FACTOR * lambda_1, past
+    SUP_CEILING, at the window edge, when no step of at least ds_min is
+    accepted or at MAX_POINTS; ``Branch.termination`` says which.  Points
+    carry gamma_1 only with ``with_gamma1``.
     """
-    options = options or StepOptions()
     domain = spec.domain
     m = domain.m
     pe = principal_eigenvalue(domain, spec.g)
@@ -178,14 +185,14 @@ def continue_branch(spec: ProblemSpec, lam_window=None,
     if lam1 <= 0.0:
         raise RootNotBracketed("no positive principal eigenvalue to bifurcate from")
 
-    seeds = _seed_points(spec, lam1, phi1, options)
+    seeds = _seed_points(spec, lam1, phi1, with_gamma1)
     points = list(seeds)
-    lam_floor = options.lam_floor_factor * lam1
+    lam_floor = LAM_FLOOR_FACTOR * lam1
     lam_lo, lam_hi = (-math.inf, math.inf) if lam_window is None else lam_window
 
-    ds = options.ds_init
+    ds = DS_INIT
     termination = "max-points"
-    while len(points) < options.max_points:
+    while len(points) < MAX_POINTS:
         prev, cur = points[-2], points[-1]
         dw = cur.w - prev.w
         dl = cur.lam - prev.lam
@@ -195,12 +202,11 @@ def continue_branch(spec: ProblemSpec, lam_window=None,
             break
         t_w, t_lam = dw / norm, dl / norm
         accepted = None
-        while ds >= options.ds_min:
+        while ds >= ds_min:
             w_pred = cur.w + ds * t_w
             lam_pred = cur.lam + ds * t_lam
             try:
-                wv, lv = _corrector(spec, w_pred, lam_pred, w_pred, lam_pred,
-                                    t_w, t_lam, options.corrector_tol)
+                wv, lv = _corrector(spec, w_pred, lam_pred, w_pred, lam_pred, t_w, t_lam)
             except CorrectorDivergence:
                 ds *= 0.5
                 continue
@@ -217,15 +223,15 @@ def continue_branch(spec: ProblemSpec, lam_window=None,
             termination = "step-underflow"
             break
         wv, lv = accepted
-        points.append(make_point(spec, lv, wv, with_gamma1=options.with_gamma1, warm=cur))
-        ds = min(ds * 1.3, options.ds_max)
+        points.append(make_point(spec, lv, wv, with_gamma1=with_gamma1, warm=cur))
+        ds = min(ds * 1.3, ds_max)
         if lv < lam_floor:
             termination = "lam-floor"
             break
         if lv < lam_lo or lv > lam_hi:
             termination = "window"
             break
-        if points[-1].sup_norm > options.sup_ceiling:
+        if points[-1].sup_norm > SUP_CEILING:
             termination = "blow-up"
             break
 

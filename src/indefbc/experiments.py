@@ -247,7 +247,7 @@ class SweepResult:
     c_delta: float          # lower estimate of the branch-sup bound C_delta
     m_delta: float          # min mu_2^+ along the branch; +inf when absent
     uniqueness_count: int   # max distinct positive solutions over lambda samples
-    branch: Branch | None = field(repr=False, default=None)
+    branch: Branch | None = field(repr=False, default=None)  # points carry no gamma_1
     error: str | None = None
 
 
@@ -266,8 +266,8 @@ def delta_sweep(domain: Domain, g, delta_list, p: float, *,
         try:
             family = build_family(domain, g, delta)
             spec = ProblemSpec(domain, p, family.g_delta)
-            lam1 = principal_eigenvalue(domain, family.g_delta).value
-            branch = continue_branch(spec)
+            branch = continue_branch(spec, with_gamma1=False)  # the audit reads no gamma_1
+            lam1 = branch.bifurcation_lambda
             lams = np.linspace(0.1 * lam1, 0.9 * lam1, n_lam_samples)
             c_delta = max(pt.sup_norm for pt in branch.points if pt.lam >= 0.0)
             count = 0
@@ -275,7 +275,7 @@ def delta_sweep(domain: Domain, g, delta_list, p: float, *,
                 found = multi_start_solutions(spec, float(lam), n_inits, seed)
                 count = max(count, len(found))
                 c_delta = max([c_delta] + [pt.sup_norm for pt in found])
-            md = m_delta(domain, family.g_delta, p, branch)
+            md = m_delta(branch)
             results.append(SweepResult(delta, lam1, c_delta, md, count, branch))
         except IndefbcError as exc:
             results.append(SweepResult(delta, math.nan, math.nan, math.nan, -1,

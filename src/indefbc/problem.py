@@ -109,18 +109,14 @@ def nehari_project(spec: ProblemSpec, lam: float, w) -> np.ndarray:
     return diag.t_projection * wv
 
 
-def free_gradient(spec: ProblemSpec, lam: float, w) -> np.ndarray:
-    """Euclidean gradient of J; coincides with the residual F at positive w."""
+def residual_vector(spec: ProblemSpec, lam: float, w) -> np.ndarray:
+    """Boundary-reduced residual F(w) = Lambda w - Q (lambda g w + h |w|^(p-1) w),
+    the Euclidean gradient of J."""
     wv = as_values(spec.domain, w)
     a = dtn_matrix(spec.domain)
     h = spec.superlinear_weight
     q = spec.domain.weights
     return a @ wv - q * (lam * spec.g * wv + h * np.abs(wv) ** (spec.p - 1.0) * wv)
-
-
-def residual_vector(spec: ProblemSpec, lam: float, w) -> np.ndarray:
-    """Boundary-reduced residual F(w) = Lambda w - Q (lambda g w + h w^p)."""
-    return free_gradient(spec, lam, w)
 
 
 def jacobian_diagonal(spec: ProblemSpec, lam: float, w) -> np.ndarray:

@@ -14,7 +14,6 @@ from .errors import InitNotProjectable, LeftPositiveCone, MaxIterations, Singula
 from .problem import (
     ProblemSpec,
     SolutionPoint,
-    free_gradient,
     functionals,
     jacobian_diagonal,
     nehari_project,
@@ -218,7 +217,7 @@ def minimize_nehari(spec: ProblemSpec, lam: float, init=None, *,
     except Exception as exc:
         raise InitNotProjectable(str(exc)) from exc
 
-    grad = free_gradient(spec, lam, w)
+    grad = residual_vector(spec, lam, w)
     j_val = functionals(spec, lam, w).J
     step = 1.0 / (1.0 + float(np.linalg.norm(grad)))
     # Descent alone stalls in rounding noise near the minimizer, so once the
@@ -260,7 +259,7 @@ def minimize_nehari(spec: ProblemSpec, lam: float, init=None, *,
             raise MaxIterations("Nehari backtracking stalled")
         prev_w, prev_grad = w, grad
         w, j_val = cand, cand_j
-        grad = free_gradient(spec, lam, w)
+        grad = residual_vector(spec, lam, w)
     raise MaxIterations("Nehari descent did not reach the gradient tolerance")
 
 
@@ -308,9 +307,9 @@ def nonexistence_probe(spec: ProblemSpec, lam: float, n_inits: int, seed: int, *
 
     The absolute residual test passes iterates that collapse onto the
     trivial zero once sup^p is small, so each converged trace that is not
-    within 1e-6 of an earlier finding is polished by ``_polish_candidate``
-    and counted as ``collapsed-to-zero`` when the polish takes it to
-    ``_PROBE_MIN_AMPLITUDE`` or below.
+    within 1e-6 (1 + sup) of an earlier finding is polished by
+    ``_polish_candidate`` and counted as ``collapsed-to-zero`` when the
+    polish takes it to ``_PROBE_MIN_AMPLITUDE`` or below.
     """
     rng = np.random.default_rng(seed)
     findings: list[SolutionPoint] = []
@@ -320,7 +319,8 @@ def nonexistence_probe(spec: ProblemSpec, lam: float, n_inits: int, seed: int, *
         failures[mode] = failures.get(mode, 0) + 1
 
     def known(point: SolutionPoint) -> bool:
-        return any(np.max(np.abs(point.w - f.w)) < 1e-6 for f in findings)
+        radius = 1e-6 * (1.0 + point.sup_norm)
+        return any(np.max(np.abs(point.w - f.w)) < radius for f in findings)
 
     for _ in range(n_inits):
         init = amplitude * rng.uniform(0.05, 1.0, spec.domain.m)
@@ -368,11 +368,6 @@ def _polish_candidate(spec: ProblemSpec, lam: float, w: np.ndarray) -> SolutionP
 
 
 def multi_start_solutions(spec: ProblemSpec, lam: float, n_inits: int, seed: int, *,
-                          amplitude: float = 2.0, dedup: float = 1e-6) -> list[SolutionPoint]:
+                          amplitude: float = 2.0) -> list[SolutionPoint]:
     """Distinct positive solutions found by seeded multi-start Newton."""
-    report = nonexistence_probe(spec, lam, n_inits, seed, amplitude=amplitude)
-    out: list[SolutionPoint] = []
-    for point in report.findings:
-        if not any(np.max(np.abs(point.w - f.w)) < dedup * (1.0 + point.sup_norm) for f in out):
-            out.append(point)
-    return out
+    return nonexistence_probe(spec, lam, n_inits, seed, amplitude=amplitude).findings

@@ -546,28 +546,29 @@ def weighted_steklov_spectrum(domain: Domain, g, lam: float, w, p: float, h=None
     return MuSpectrum(mu2_plus, None, domain.weights, (a, b), (mus, columns))
 
 
-def m_delta(domain: Domain, g, p: float, branch, h=None) -> float:
-    """Minimum of mu_2^+ over branch samples with lambda in [0, lambda_1(g)),
-    each from the pencil with weight h |w|^(p-1), h defaulting to g, and each
-    root warm from the last sample's eigenvector.
+def m_delta(branch) -> float:
+    """Minimum of mu_2^+ over the points of a ``continuation.Branch`` with lambda
+    in [0, lambda_1), lambda_1 its bifurcation value, each from the pencil of
+    its spec with weight h |w|^(p-1), h the spec's superlinear weight, and
+    each root warm from the last sample's eigenvector.
 
     Discrete surrogate of the infimum defining m_delta; +inf when the
     second positive eigenvalue is absent everywhere (e.g. the interval).
     """
-    points = getattr(branch, "points", branch)
-    if not points:
+    if not branch.points:
         raise EmptyBranch("m_delta needs at least one branch sample")
-    lam1 = principal_eigenvalue(domain, g).value
+    spec = branch.spec
     best = math.inf
     seen = False
     guess = None
-    for pt in points:
-        if not 0.0 <= pt.lam < lam1:
+    for pt in branch.points:
+        if not 0.0 <= pt.lam < branch.bifurcation_lambda:
             continue
         seen = True
-        spec = weighted_steklov_spectrum(domain, g, pt.lam, pt.w, p, h, guess)
-        best = min(best, spec.mu2_plus)
-        guess = spec.mu2_vector
+        mu = weighted_steklov_spectrum(spec.domain, spec.g, pt.lam, pt.w, spec.p,
+                                       spec.superlinear_weight, guess)
+        best = min(best, mu.mu2_plus)
+        guess = mu.mu2_vector
     if not seen:
         raise EmptyBranch("no branch sample with lambda in [0, lambda_1)")
     return best

@@ -19,8 +19,8 @@ from indefbc.problem import (
     ProblemSpec,
     conservation_defect,
     functionals,
-    free_gradient,
     logistic_spec,
+    residual_vector,
 )
 from indefbc.solve import multi_start_solutions, nonexistence_probe
 from indefbc.spectral import principal_eigenvalue, sigma1, weighted_steklov_spectrum
@@ -199,7 +199,7 @@ def test_11_conservation_and_gradients(interval, disk16):
     rng = np.random.default_rng(11)
     w = 0.4 + 0.2 * np.cos(disk16.nodes)
     lam = 0.2
-    grad = free_gradient(spec, lam, w)
+    grad = residual_vector(spec, lam, w)
     eps = 1e-6
     for _ in range(20):
         v = rng.normal(size=disk16.m)

@@ -3,7 +3,6 @@ import pytest
 
 import indefbc.continuation
 from indefbc.continuation import (
-    StepOptions,
     continue_branch,
     to_logistic,
     to_sppr,
@@ -171,30 +170,33 @@ def test_logistic_transform_validates_spec(interval):
         ProblemSpec(interval, 2.0, G_1D, form="sppr-form")  # to_sppr covers it
 
 
-def test_step_options_control_termination(interval):
+def test_step_options_control_termination(interval, monkeypatch):
     spec = ProblemSpec(interval, 2.0, G_1D)
-    short = continue_branch(spec, options=StepOptions(max_points=6))
+    monkeypatch.setattr(indefbc.continuation, "MAX_POINTS", 6)
+    short = continue_branch(spec)
     assert len(short.points) <= 6
     assert short.direction == "subcritical"
 
 
-def test_branch_records_why_it_stopped(interval):
+def test_branch_records_why_it_stopped(interval, monkeypatch):
     spec = ProblemSpec(interval, 2.0, G_1D)
     assert continue_branch(spec).termination == "lam-floor"
     assert continue_branch(spec, lam_window=(0.3, 1.0)).termination == "window"
-    stops = {"max-points": StepOptions(max_points=6), "blow-up": StepOptions(sup_ceiling=0.5),
-             "step-underflow": StepOptions(ds_min=0.05)}
-    for reason, options in stops.items():
-        assert continue_branch(spec, options=options).termination == reason
+    assert continue_branch(spec, ds_min=0.05).termination == "step-underflow"
+    for reason, constant, value in (("max-points", "MAX_POINTS", 6),
+                                    ("blow-up", "SUP_CEILING", 0.5)):
+        with monkeypatch.context() as patch:
+            patch.setattr(indefbc.continuation, constant, value)
+            assert continue_branch(spec).termination == reason
 
 
 def test_corrector_raises_on_a_singular_bordered_matrix(disk16, monkeypatch):
-    """The corrector's dgesv solve reports a zero pivot as CorrectorDivergence: with
-    a zero Jacobian, the bordered matrix's first m rows are all multiples of one row."""
+    """A zero Jacobian fails the lifted Cholesky factorization, and the LU fallback's
+    zero pivot reaches the corrector as CorrectorDivergence."""
     spec = ProblemSpec(disk16, 2.0, sign_changing_disk_weight(disk16))
     w = np.full(16, 0.1)
     t_w, t_lam = np.ones(16) / 4.0, 0.0
     monkeypatch.setattr(indefbc.continuation, "residual_jacobian",
                         lambda spec, lam, w: np.zeros((16, 16), order="F"))
     with pytest.raises(CorrectorDivergence, match="zero pivot"):
-        indefbc.continuation._corrector(spec, w, 0.3, w, 0.3, t_w, t_lam, 1e-11)
+        indefbc.continuation._corrector(spec, w, 0.3, w, 0.3, t_w, t_lam)

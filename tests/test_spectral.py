@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import indefbc.continuation
 import indefbc.solve
 import indefbc.spectral
-from indefbc.continuation import StepOptions, continue_branch
+from indefbc.continuation import continue_branch
 from indefbc.dtn import (
     DIRICHLET_GUARD,
     assemble_dtn,
@@ -24,7 +25,7 @@ from indefbc.dtn import (
 )
 from indefbc.domain import build_domain, harmonic_extension_eval, volume_l2_norm_sq
 from indefbc.errors import PencilNotPositiveDefinite, ResidualAboveTolerance, RootNotBracketed
-from indefbc.problem import ProblemSpec, residual_jacobian
+from indefbc.problem import ProblemSpec, residual_jacobian, residual_vector
 from indefbc.solve import newton_solve
 from indefbc.spectral import (
     gamma1,
@@ -331,7 +332,7 @@ def _disk_branch_states(ms):
     corrected there by Newton."""
     dom16 = build_domain("unit-disk", 16)
     branch = continue_branch(ProblemSpec(dom16, 2.0, sign_changing_disk_weight(dom16)),
-                             options=StepOptions(with_gamma1=False))
+                             with_gamma1=False)
     lam = 0.3 * branch.bifurcation_lambda
     coeffs = np.fft.rfft(branch.at_lambda(lam, with_gamma1=False).w)[:8]
     states = []
@@ -747,7 +748,7 @@ def _two_bump_branch():
     """The m = 64 disk branch of the two-bump weight at p = 2, without gamma_1."""
     dom = build_domain("unit-disk", 64)
     spec = ProblemSpec(dom, 2.0, _two_bump_weight(dom))
-    return spec, continue_branch(spec, options=StepOptions(with_gamma1=False))
+    return spec, continue_branch(spec, with_gamma1=False)
 
 
 def test_lifted_jacobian_factors_exactly_where_mu2_plus_exceeds_p():
@@ -791,6 +792,46 @@ def test_newton_converges_through_the_lu_fallback(monkeypatch):
     assert np.max(np.abs(solved.w - point.w)) <= 1e-9 * point.sup_norm
 
 
+def test_corrector_step_solves_the_bordered_system(disk16, monkeypatch):
+    """One corrector step, by block elimination on Newton's factors, equals a dgesv
+    solve of the bordered matrix [J, -Q g w; t_w^T / m, t_lam] to 1e-10, off an
+    index-1 point of the cos theta - 0.3 branch (lifted Cholesky) and off an
+    index-2 point of the two-bump branch (LU)."""
+    lu_calls = []
+    lu_factor = indefbc.solve._lu_factor
+
+    def counted(jac):
+        lu_calls.append(1)
+        return lu_factor(jac)
+
+    monkeypatch.setattr(indefbc.solve, "_lu_factor", counted)
+    spec1 = ProblemSpec(disk16, 2.0, sign_changing_disk_weight(disk16))
+    cases = [(spec1, continue_branch(spec1, with_gamma1=False), 0.5, False),
+             (*_two_bump_branch(), 0.4, True)]
+    for spec, branch, frac, uses_lu in cases:
+        m = spec.domain.m
+        i = next(i for i, pt in enumerate(branch.points)
+                 if 0.0 < pt.lam < frac * branch.bifurcation_lambda)
+        prev, cur = branch.points[i - 1], branch.points[i]
+        t_w, t_lam = cur.w - prev.w, cur.lam - prev.lam
+        norm = math.sqrt(float(t_w @ t_w) / m + t_lam * t_lam)
+        t_w, t_lam = t_w / norm, t_lam / norm
+        # a predicted point past cur, with an arclength defect n
+        w, lam, n = cur.w + 0.5 * norm * t_w, cur.lam + 0.5 * norm * t_lam, 1e-3
+        f = residual_vector(spec, lam, w)
+        lu_calls.clear()
+        dw, dl = indefbc.continuation._bordered_step(spec, lam, w, f, n, t_w, t_lam)
+        assert bool(lu_calls) == uses_lu
+        bordered = np.empty((m + 1, m + 1))
+        bordered[:m, :m] = residual_jacobian(spec, lam, w)
+        bordered[:m, m] = -spec.domain.weights * spec.g * w
+        bordered[m, :m] = t_w / m
+        bordered[m, m] = t_lam
+        ref, info = scipy.linalg.lapack.dgesv(bordered, np.append(f, n))[2:]
+        assert info == 0
+        assert np.linalg.norm(np.append(dw, dl) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
 def _mu_spectrum_reference(domain, g, lam, w, p, h=None):
     """The mu-spectrum through A^(-1/2), normalized, sign-fixed and flagged column by
     column; the pencil's right side weighs |w|^(p-1) by h, or by g without one."""
@@ -823,7 +864,7 @@ def test_mu_spectrum_matches_per_column_reference():
     """
     dom = build_domain("unit-disk", 64)
     g = sign_changing_disk_weight(dom)
-    branch = continue_branch(ProblemSpec(dom, 2.0, g), options=StepOptions(with_gamma1=False))
+    branch = continue_branch(ProblemSpec(dom, 2.0, g), with_gamma1=False)
     for frac in (0.05, 0.3, 0.6, 0.9):
         point = branch.at_lambda(frac * branch.bifurcation_lambda, with_gamma1=False)
         spec = weighted_steklov_spectrum(dom, g, point.lam, point.w, 2.0)
@@ -849,7 +890,7 @@ def test_mu2_plus_needs_one_eigh_cold_and_none_warm(monkeypatch):
     eigenfunctions one more, each once, when first read."""
     dom = build_domain("unit-disk", 64)
     g = sign_changing_disk_weight(dom)
-    branch = continue_branch(ProblemSpec(dom, 2.0, g), options=StepOptions(with_gamma1=False))
+    branch = continue_branch(ProblemSpec(dom, 2.0, g), with_gamma1=False)
     lam1 = branch.bifurcation_lambda
     point = branch.at_lambda(0.3 * lam1, with_gamma1=False)
     near = branch.at_lambda(0.32 * lam1, with_gamma1=False)
@@ -939,7 +980,7 @@ def test_mu2_plus_accurate_next_to_lambda1(disk16):
     within 1e-13 of a 40-digit reference; the Cholesky-reduced full spectrum
     erred there by up to 1.4e-12."""
     g = sign_changing_disk_weight(disk16)
-    branch = continue_branch(ProblemSpec(disk16, 2.0, g), options=StepOptions(with_gamma1=False))
+    branch = continue_branch(ProblemSpec(disk16, 2.0, g), with_gamma1=False)
     lam1 = branch.bifurcation_lambda
     near = [pt for pt in branch.points if 0.999 * lam1 <= pt.lam < lam1]
     assert len(near) >= 3
@@ -960,14 +1001,14 @@ def test_m_delta_infinite_on_interval(interval):
     from indefbc.continuation import continue_branch
 
     branch = continue_branch(spec)
-    assert m_delta(interval, g, 2.0, branch) == math.inf
+    assert m_delta(branch) == math.inf
 
 
 def test_mu1_plus_is_one_along_the_f_form_branch(disk32):
     """At an f-form solution A w = M_{f w^(p-1)} w, so mu = 1 is in the f-pencil's
     spectrum; on this branch it is mu_1^+ (the g-pencil read 3.4 to 12.8 here)."""
     spec = f_form_spec(disk32)
-    branch = continue_branch(spec, options=StepOptions(with_gamma1=False))
+    branch = continue_branch(spec, with_gamma1=False)
     lam1 = branch.bifurcation_lambda
     inside = [pt for pt in branch.points if 0.2 * lam1 <= pt.lam <= 0.8 * lam1]
     assert len(inside) >= 4
@@ -977,10 +1018,11 @@ def test_mu1_plus_is_one_along_the_f_form_branch(disk32):
 
 
 def test_m_delta_uses_the_f_pencil(disk32):
-    """m_delta with h = f is the least mu_2^+ of the f-pencil over the branch samples
-    in [0, lambda_1), against the per-column reference; without h it reads g."""
+    """m_delta of an f-form branch is the least mu_2^+ of the f-pencil over the branch
+    samples in [0, lambda_1), against the per-column reference, which the g-pencil
+    is not."""
     spec = f_form_spec(disk32)
-    branch = continue_branch(spec, options=StepOptions(with_gamma1=False))
+    branch = continue_branch(spec, with_gamma1=False)
     lam1 = branch.bifurcation_lambda
     inside = [pt for pt in branch.points if 0.0 <= pt.lam < lam1]
     expected = {}
@@ -988,7 +1030,5 @@ def test_m_delta_uses_the_f_pencil(disk32):
         mus = (_mu_spectrum_reference(disk32, spec.g, pt.lam, pt.w, spec.p, h)[0]
                for pt in inside)
         expected[label] = min(float(m[m > 1e-12][1]) for m in mus)
-    got = m_delta(disk32, spec.g, spec.p, branch, h=spec.f)
-    assert got == pytest.approx(expected["f"], rel=1e-9)
-    assert m_delta(disk32, spec.g, spec.p, branch) == pytest.approx(expected["g"], rel=1e-9)
+    assert m_delta(branch) == pytest.approx(expected["f"], rel=1e-9)
     assert expected["g"] > 2.0 * expected["f"]
