@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .continuation import DS_MAX, DS_MIN
 from .domain import INTERVAL, KINDS, Domain, build_domain
 from .errors import ConfigError
 from .problem import F_FORM, FORMS, LOGISTIC, W_FORM, ProblemSpec, logistic_spec
@@ -105,7 +106,7 @@ def _split_items(text: str):
     return [chunk.strip() for chunk in text.split(";") if chunk.strip()]
 
 
-def _number(text: str, label: str, kind=float):
+def _number(text: str | float, label: str, kind=float):
     """One finite number of type ``kind``; ConfigError if malformed or non-finite."""
     try:
         value = kind(text)
@@ -141,8 +142,8 @@ def config_from_dict(raw: dict) -> RunConfig:
         window = _parse_floats(_get(parser, "lambda", "window", "0.001, 0.1"), "window")
         samples = int(_get(parser, "lambda", "samples", "5"))
         deltas = tuple(_parse_floats(_get(parser, "sweep", "deltas", ""), "deltas"))
-        step_min = _number(_get(parser, "tolerances", "step_min", "1e-10"), "step_min")
-        step_max = _number(_get(parser, "tolerances", "step_max", "0.2"), "step_max")
+        step_min = _number(_get(parser, "tolerances", "step_min", DS_MIN), "step_min")
+        step_max = _number(_get(parser, "tolerances", "step_max", DS_MAX), "step_max")
         seed = int(_get(parser, "run", "seed", "0"))
         out_dir = _get(parser, "run", "out_dir", ".")
         n_inits = int(_get(parser, "run", "n_inits", "64"))

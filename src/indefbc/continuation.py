@@ -37,11 +37,15 @@ from .spectral import principal_eigenvalue
 
 # Step controls: the first seed's amplitude gives lambda_1 - lambda = EPS_FACTOR *
 # lambda_1; seeding switches to arclength once sup reaches SEED_TARGET; the
-# trace stops below LAM_FLOOR_FACTOR * lambda_1, past SUP_CEILING or at
+# arclength step starts at DS_INIT and stays in [DS_MIN, DS_MAX] by default
+# (continue_branch's ds_min, ds_max and the [tolerances] step_min, step_max);
+# the trace stops below LAM_FLOOR_FACTOR * lambda_1, past SUP_CEILING or at
 # MAX_POINTS points.
 EPS_FACTOR = 1e-4
 SEED_TARGET = 1e-2
 DS_INIT = 0.02
+DS_MIN = 1e-10
+DS_MAX = 0.2
 LAM_FLOOR_FACTOR = -0.05
 SUP_CEILING = 1e6
 MAX_POINTS = 400
@@ -167,8 +171,8 @@ def _seed_points(spec: ProblemSpec, lam1: float, phi1: np.ndarray, with_gamma1: 
     return seeds
 
 
-def continue_branch(spec: ProblemSpec, lam_window=None, *, ds_min: float = 1e-10,
-                    ds_max: float = 0.2, with_gamma1: bool = True) -> Branch:
+def continue_branch(spec: ProblemSpec, lam_window=None, *, ds_min: float = DS_MIN,
+                    ds_max: float = DS_MAX, with_gamma1: bool = True) -> Branch:
     """Trace the positive-solution branch from (lambda_1(g), 0).
 
     Secant predictor / Newton corrector with an arclength step in

@@ -9,7 +9,7 @@ import scipy.linalg
 import indefbc.cli
 from indefbc.cli import CSV_HEADER, main
 from indefbc.config import config_from_dict, config_to_ini, load_config
-from indefbc.continuation import continue_branch
+from indefbc.continuation import DS_MAX, DS_MIN, continue_branch
 from indefbc.domain import build_domain
 from indefbc.errors import ConfigError, ShapeMismatch
 from indefbc.problem import ProblemSpec
@@ -259,6 +259,13 @@ def test_branch_mu2_column_costs_one_eigh(tmp_path, monkeypatch):
     assert main(["branch", "--config", _write(tmp_path, INTERVAL_INI, "interval.ini"),
                  "--out", str(tmp_path / "interval")]) == 0
     assert pairs and all(warm == full == math.inf for warm, full in pairs)
+
+
+def test_step_bounds_default_to_the_continuation_constants():
+    """A config without [tolerances] takes continue_branch's own step bounds."""
+    config = config_from_dict({"domain": {"kind": "unit-disk", "m": "16"}})
+    assert config.step_min == DS_MIN and config.step_max == DS_MAX
+    assert (config.step_min, config.step_max) == (1e-10, 0.2)
 
 
 def test_config_validation_messages(tmp_path):

@@ -289,27 +289,83 @@ def test_newton_collapses_fast_at_the_degenerate_zero(monkeypatch):
     assert 1 <= fast <= 0.5 * len(calls)
 
 
+def test_newton_collapses_fast_at_the_nondegenerate_zero(monkeypatch):
+    """From w = 1e-2 phi_1 at 0.5 lambda_1 on the m = 64 disk, where the full
+    step overshoots the trivial zero and plain Newton only halves w per step,
+    newton_solve reaches it with at most half of plain Newton's residuals
+    (11 against 35)."""
+    dom = build_domain("unit-disk", 64)
+    g = sign_changing_disk_weight(dom)
+    pair = principal_eigenvalue(dom, g)
+    spec = ProblemSpec(dom, 2.0, g)
+    lam = 0.5 * pair.value
+    init = 1e-2 * np.abs(pair.eigenfunction.values)
+    calls = []
+    residual = residual_vector
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return residual(*args, **kwargs)
+
+    monkeypatch.setattr(indefbc.solve, "residual_vector", counted)
+    point = newton_solve(spec, lam, init, tol=1e-13, with_gamma1=False)
+    fast = len(calls)
+    monkeypatch.setitem(_plain_newton.__globals__, "residual_vector", counted)
+    calls.clear()
+    plain = _plain_newton(spec, lam, init, tol=1e-13, with_gamma1=False)
+    assert point.sup_norm < 1e-6 and plain.sup_norm < 1e-6
+    assert 1 <= fast <= 0.5 * len(calls)
+
+
+def test_kernel_ray_scale_signatures():
+    """The over-relaxation factor of a step d: none off the ray or for a true
+    solution's tiny step along w; (1 - 1e-3)(w.w)/(w.d) for d near w (the
+    nondegenerate zero); p (1 - 1e-3) for d = w/p (the degenerate zero at
+    lambda_1, where r = 0)."""
+    scale = indefbc.solve._kernel_ray_scale
+    w = np.linspace(0.5, 1.5, 64)
+    tilt = np.cos(np.linspace(0.0, math.pi, 64))
+    assert scale(2.0, w, w + 1e-1 * tilt) is None
+    assert scale(2.0, w, 1e-3 * w) is None
+    d = (1.0 + 1e-5) * w
+    assert scale(2.0, w, d) == pytest.approx((1.0 - 1e-3) * (w @ w) / (w @ d), rel=1e-15)
+    for p in (1.5, 2.0, 3.0):
+        assert scale(p, w, w / p) == pytest.approx(p * (1.0 - 1e-3), rel=1e-15)
+
+
 def test_probe_reuses_factorizations(monkeypatch):
-    """Jacobians assembled per init by a 32-init probe on the m = 128 disk: at most
-    10 at 0.5 and 1.5 lambda_1 (14.1 and 17.2 without reuse), and at most 12 at
-    lambda_1, where the steps are full and over-relaxed on the kernel ray (21.9
-    by plain Newton).  Each init assembles at least one, through indefbc.solve's
-    residual_jacobian."""
+    """Jacobians and residuals per init of a 32-init probe on the m = 128 disk,
+    counted through indefbc.solve's residual_jacobian and residual_vector.
+
+    Jacobians: at most 9 at 0.5 and 1.5 lambda_1 (8.28 and 8.03; 14.1 and 17.2
+    without reuse), and at most 11 at lambda_1, where the steps are over-relaxed
+    on the kernel ray (9.84; 21.9 by plain Newton).  Residuals: at most 14, 14
+    and 15 at 0.5, 1 and 1.5 lambda_1 (11.44, 12.94 and 13.72; 16.88, 13.16 and
+    18.81 when a collapse onto the nondegenerate zero was only halved).  Each
+    init assembles at least one Jacobian."""
     dom = build_domain("unit-disk", 128)
     g = sign_changing_disk_weight(dom)
     spec = ProblemSpec(dom, 2.0, g)
     lam1 = principal_eigenvalue(dom, g).value
-    calls = []
+    jacobians, residuals = [], []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
+    def counted_jacobian(*args, **kwargs):
+        jacobians.append(1)
         return residual_jacobian(*args, **kwargs)
 
-    monkeypatch.setattr(indefbc.solve, "residual_jacobian", counted)
-    for factor, most in ((0.5, 10.0), (1.0, 12.0), (1.5, 10.0)):
-        calls.clear()
+    def counted_residual(*args, **kwargs):
+        residuals.append(1)
+        return residual_vector(*args, **kwargs)
+
+    monkeypatch.setattr(indefbc.solve, "residual_jacobian", counted_jacobian)
+    monkeypatch.setattr(indefbc.solve, "residual_vector", counted_residual)
+    for factor, most_jac, most_res in ((0.5, 9.0, 14.0), (1.0, 11.0, 14.0),
+                                       (1.5, 9.0, 15.0)):
+        jacobians.clear()
+        residuals.clear()
         nonexistence_probe(spec, factor * lam1, 32, seed=4)
-        assert 1.0 <= len(calls) / 32 <= most
+        assert 1.0 <= len(jacobians) / 32 <= most_jac
+        assert len(residuals) / 32 <= most_res
 
 
 def test_jacobian_is_fortran_ordered_dtn_minus_diagonal(interval):
