@@ -1,7 +1,8 @@
 """Command-line interface: eig | solve | branch | sweep | oracle1d | asympt | probe.
 
-Exit codes: 0 success, 2 configuration error, 3 solver error (partial
-results are still written, flagged "incomplete").
+Each command returns its report body and whether it is incomplete; ``main``
+writes it to <command>.json.  Exit codes: 0 success, 2 configuration error,
+3 solver error (partial results are still written, flagged "incomplete").
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .domain import INTERVAL
 from .errors import ConfigError, IndefbcError, PencilNotPositiveDefinite
 from .experiments import asymptotics_fit, delta_sweep, oracle_1d
 from .problem import F_FORM, LOGISTIC
-from .solve import minimize_nehari, multi_start_solutions, nonexistence_probe
+from .solve import minimize_nehari, nonexistence_probe
 from .spectral import (
     near_lambda1,
     nonnegative_integral,
@@ -70,11 +71,6 @@ def _write_json(path: str, payload: dict) -> None:
         handle.write(text + "\n")
 
 
-def _report(config: RunConfig, command: str, body: dict, incomplete: bool) -> dict:
-    return {"command": command, "config": config.raw,
-            "incomplete": incomplete, **body}
-
-
 def _lam_grid(config: RunConfig) -> list:
     lo, hi = config.lam_window
     if config.lam_samples == 1:
@@ -95,7 +91,7 @@ def _mu2_plus(spec, point, lam1: float, guess):
     return mu.mu2_plus, mu.mu2_vector
 
 
-def cmd_eig(config: RunConfig, out_dir: str, verbose: bool) -> int:
+def cmd_eig(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bool]:
     domain = config.build_domain()
     spec = config.build_spec(domain)
     rows = []
@@ -125,15 +121,11 @@ def cmd_eig(config: RunConfig, out_dir: str, verbose: bool) -> int:
         print(f"note: {note}")
     for row in rows:
         print(f"sigma1({_fmt(row['lambda'])}) = {_fmt(row['sigma1'])}")
-    payload = _report(config, "eig", {
-        "lambda1": lam1, "closed_form_1d": closed_form,
-        "sigma1_rows": rows, "notes": notes,
-    }, incomplete=False)
-    _write_json(os.path.join(out_dir, "eig.json"), payload)
-    return EXIT_OK
+    return {"lambda1": lam1, "closed_form_1d": closed_form,
+            "sigma1_rows": rows, "notes": notes}, False
 
 
-def cmd_solve(config: RunConfig, out_dir: str, verbose: bool) -> int:
+def cmd_solve(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bool]:
     domain = config.build_domain()
     spec = config.build_spec(domain)
     records = []
@@ -155,15 +147,13 @@ def cmd_solve(config: RunConfig, out_dir: str, verbose: bool) -> int:
         if verbose:
             print(f"lambda={_fmt(lam)} sup={_fmt(point.sup_norm)} "
                   f"J={_fmt(point.nehari.J)} gamma1={_fmt(point.gamma1)}")
-    payload = _report(config, "solve", {"solutions": records}, incomplete)
-    _write_json(os.path.join(out_dir, "solve.json"), payload)
-    return EXIT_SOLVER if incomplete else EXIT_OK
+    return {"solutions": records}, incomplete
 
 
-def cmd_branch(config: RunConfig, out_dir: str, verbose: bool) -> int:
+def cmd_branch(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bool]:
     domain = config.build_domain()
     spec = config.build_spec(domain)
-    branch = continue_branch(spec, ds_min=config.step_min, ds_max=config.step_max)
+    branch = continue_branch(spec)
     lam1 = branch.bifurcation_lambda
     lines = [CSV_HEADER]
     diagram = ["lambda,sup_norm"]
@@ -190,17 +180,12 @@ def cmd_branch(config: RunConfig, out_dir: str, verbose: bool) -> int:
     if verbose:
         print(f"{len(branch.points)} points, lambda1={_fmt(lam1)}, "
               f"range={branch.lam_range}, stopped at {branch.termination}")
-    incomplete = branch.termination == "step-underflow"
-    payload = _report(config, "branch", {
-        "lambda1": lam1, "n_points": len(branch.points),
-        "lam_range": list(branch.lam_range), "direction": branch.direction,
-        "termination": branch.termination,
-    }, incomplete)
-    _write_json(os.path.join(out_dir, "branch.json"), payload)
-    return EXIT_SOLVER if incomplete else EXIT_OK
+    return {"lambda1": lam1, "n_points": len(branch.points),
+            "lam_range": list(branch.lam_range), "direction": branch.direction,
+            "termination": branch.termination}, branch.termination == "step-underflow"
 
 
-def cmd_sweep(config: RunConfig, out_dir: str, verbose: bool) -> int:
+def cmd_sweep(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bool]:
     if config.form == F_FORM:
         raise ConfigError(f"sweep does not support form = {F_FORM}")
     domain = config.build_domain()
@@ -231,13 +216,10 @@ def cmd_sweep(config: RunConfig, out_dir: str, verbose: bool) -> int:
                                      zip(clean, clean[1:])),
         "unique_everywhere": all(r.uniqueness_count == 1 for r in clean),
     }
-    payload = _report(config, "sweep",
-                      {"sweep": records, "verdict": verdict}, incomplete)
-    _write_json(os.path.join(out_dir, "sweep.json"), payload)
-    return EXIT_SOLVER if incomplete else EXIT_OK
+    return {"sweep": records, "verdict": verdict}, incomplete
 
 
-def cmd_oracle1d(config: RunConfig, out_dir: str, verbose: bool) -> int:
+def cmd_oracle1d(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bool]:
     if config.form == F_FORM:
         raise ConfigError(f"oracle1d does not support form = {F_FORM}")
     domain = config.build_domain()
@@ -268,39 +250,29 @@ def cmd_oracle1d(config: RunConfig, out_dir: str, verbose: bool) -> int:
         if verbose:
             print(f"lambda={_fmt(lam)}: {len(report.pairs)} solutions, "
                   f"{report.classifications}")
-    payload = _report(config, "oracle1d", {"enumerations": records}, incomplete)
-    _write_json(os.path.join(out_dir, "oracle1d.json"), payload)
-    return EXIT_SOLVER if incomplete else EXIT_OK
+    return {"enumerations": records}, incomplete
 
 
-def cmd_asympt(config: RunConfig, out_dir: str, verbose: bool) -> int:
+def cmd_asympt(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bool]:
     domain = config.build_domain()
     spec = config.build_spec(domain)
-    branch = continue_branch(spec, ds_min=config.step_min, ds_max=config.step_max,
-                             with_gamma1=False)  # the fit reads no gamma_1
+    branch = continue_branch(spec, with_gamma1=False)  # the fit reads no gamma_1
     target = "logistic-u" if spec.form == LOGISTIC else "sppr-v"
     if branch.termination == "step-underflow":  # no fit on a trace that stopped short
-        payload = _report(config, "asympt", {"target": target,
-                                             "termination": branch.termination}, incomplete=True)
-        _write_json(os.path.join(out_dir, "asympt.json"), payload)
-        return EXIT_SOLVER
+        return {"target": target, "termination": branch.termination}, True
     fit = asymptotics_fit(branch, config.lam_window, target)
     expected = -1.0 / (spec.p - 1.0)
     verdict = {"slope": fit.slope, "expected": expected,
                "within_band": bool(abs(fit.slope - expected) <= 0.05)}
     if verbose:
         print(f"slope={_fmt(fit.slope)} expected={_fmt(expected)}")
-    payload = _report(config, "asympt", {
-        "target": target, "termination": branch.termination,
-        "lams": fit.lams, "sup_norms": fit.sup_norms,
-        "intercept": fit.intercept, "fit_residual": fit.fit_residual,
-        "verdict": verdict,
-    }, incomplete=False)
-    _write_json(os.path.join(out_dir, "asympt.json"), payload)
-    return EXIT_OK
+    return {"target": target, "termination": branch.termination,
+            "lams": fit.lams, "sup_norms": fit.sup_norms,
+            "intercept": fit.intercept, "fit_residual": fit.fit_residual,
+            "verdict": verdict}, False
 
 
-def cmd_probe(config: RunConfig, out_dir: str, verbose: bool) -> int:
+def cmd_probe(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bool]:
     domain = config.build_domain()
     spec = config.build_spec(domain)
     lam1 = principal_eigenvalue(domain, spec.g).value
@@ -318,11 +290,7 @@ def cmd_probe(config: RunConfig, out_dir: str, verbose: bool) -> int:
             print(f"lambda={_fmt(lam)}: {len(report.findings)} findings, "
                   f"failures={report.failures}")
     verdict = {"all_empty": all(not r["findings"] for r in records)}
-    payload = _report(config, "probe", {
-        "lambda1": lam1, "probes": records, "verdict": verdict,
-    }, incomplete=False)
-    _write_json(os.path.join(out_dir, "probe.json"), payload)
-    return EXIT_OK
+    return {"lambda1": lam1, "probes": records, "verdict": verdict}, False
 
 
 _COMMANDS = {
@@ -356,20 +324,17 @@ def main(argv=None) -> int:
             config = dataclasses.replace(config, seed=args.seed, raw=raw)
         out_dir = args.out if args.out is not None else config.out_dir
         os.makedirs(out_dir, exist_ok=True)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return _COMMANDS[args.command](config, out_dir, args.verbose)
-    except ConfigError as exc:
+        body, incomplete = _COMMANDS[args.command](config, out_dir, args.verbose)
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IndefbcError as exc:
         print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    _write_json(os.path.join(out_dir, f"{args.command}.json"),
+                {"command": args.command, "config": config.raw,
+                 "incomplete": incomplete, **body})
+    return EXIT_SOLVER if incomplete else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .continuation import DS_MAX, DS_MIN
 from .domain import INTERVAL, KINDS, Domain, build_domain
 from .errors import ConfigError
 from .problem import F_FORM, FORMS, LOGISTIC, W_FORM, ProblemSpec, logistic_spec
@@ -21,7 +20,6 @@ _KEYS = {
     "problem": {"p", "form"},
     "lambda": {"window", "samples"},
     "sweep": {"deltas"},
-    "tolerances": {"step_min", "step_max"},
     "run": {"seed", "out_dir", "n_inits"},
 }
 
@@ -44,8 +42,6 @@ class RunConfig:
     lam_window: tuple
     lam_samples: int
     deltas: tuple
-    step_min: float
-    step_max: float
     seed: int
     out_dir: str
     n_inits: int
@@ -142,8 +138,6 @@ def config_from_dict(raw: dict) -> RunConfig:
         window = _parse_floats(_get(parser, "lambda", "window", "0.001, 0.1"), "window")
         samples = int(_get(parser, "lambda", "samples", "5"))
         deltas = tuple(_parse_floats(_get(parser, "sweep", "deltas", ""), "deltas"))
-        step_min = _number(_get(parser, "tolerances", "step_min", DS_MIN), "step_min")
-        step_max = _number(_get(parser, "tolerances", "step_max", DS_MAX), "step_max")
         seed = int(_get(parser, "run", "seed", "0"))
         out_dir = _get(parser, "run", "out_dir", ".")
         n_inits = int(_get(parser, "run", "n_inits", "64"))
@@ -165,16 +159,11 @@ def config_from_dict(raw: dict) -> RunConfig:
                               f"{', '.join(unknown)}")
     if len(window) != 2 or not 0.0 <= window[0] < window[1]:
         raise ConfigError(f"bad lambda window {window}")
-    for label, tol in (("step_min", step_min), ("step_max", step_max)):
-        if tol <= 0.0:
-            raise ConfigError(f"tolerance {label} must be positive, got {tol}")
-    if step_min > step_max:
-        raise ConfigError(f"step_min {step_min} exceeds step_max {step_max}")
     if samples < 1 or n_inits < 1 or m < 2 or seed < 0:
         raise ConfigError("samples, n_inits, m must be >= 1 (m >= 2); seed >= 0")
     echo = {section: dict(parser.items(section)) for section in parser.sections()}
     return RunConfig(kind, m, p, form, (window[0], window[1]), samples, deltas,
-                     step_min, step_max, seed, out_dir, n_inits, echo)
+                     seed, out_dir, n_inits, echo)
 
 
 def load_config(path: str) -> RunConfig:

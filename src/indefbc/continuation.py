@@ -37,9 +37,7 @@ from .spectral import principal_eigenvalue
 
 # Step controls: the first seed's amplitude gives lambda_1 - lambda = EPS_FACTOR *
 # lambda_1; seeding switches to arclength once sup reaches SEED_TARGET; the
-# arclength step starts at DS_INIT and stays in [DS_MIN, DS_MAX] by default
-# (continue_branch's ds_min, ds_max and the [tolerances] step_min, step_max);
-# the trace stops below LAM_FLOOR_FACTOR * lambda_1, past SUP_CEILING or at
+# arclength step starts at DS_INIT and stays in [DS_MIN, DS_MAX]; the trace stops below LAM_FLOOR_FACTOR * lambda_1, past SUP_CEILING or at
 # MAX_POINTS points.
 EPS_FACTOR = 1e-4
 SEED_TARGET = 1e-2
@@ -61,8 +59,8 @@ class Branch:
     tangent: np.ndarray = field(repr=False)  # phi_1(g), H1-normalized
     direction: str  # "subcritical" | "supercritical"
     # why continue_branch stopped: "lam-floor" (past LAM_FLOOR_FACTOR * lambda_1),
-    # "window", "blow-up" (past SUP_CEILING), "step-underflow" (no step of at least
-    # ds_min accepted) or "max-points"; None for a Branch built by hand
+    # "blow-up" (past SUP_CEILING), "step-underflow" (no step of at least DS_MIN
+    # accepted) or "max-points"; None for a Branch built by hand
     termination: str | None = None
 
     @property
@@ -171,16 +169,15 @@ def _seed_points(spec: ProblemSpec, lam1: float, phi1: np.ndarray, with_gamma1: 
     return seeds
 
 
-def continue_branch(spec: ProblemSpec, lam_window=None, *, ds_min: float = DS_MIN,
-                    ds_max: float = DS_MAX, with_gamma1: bool = True) -> Branch:
+def continue_branch(spec: ProblemSpec, *, with_gamma1: bool = True) -> Branch:
     """Trace the positive-solution branch from (lambda_1(g), 0).
 
     Secant predictor / Newton corrector with an arclength step in
-    [ds_min, ds_max]; the scalar parameter is weighted 1 and the trace
+    [DS_MIN, DS_MAX]; the scalar parameter is weighted 1 and the trace
     1/sqrt(M).  Stops past lambda = LAM_FLOOR_FACTOR * lambda_1, past
-    SUP_CEILING, at the window edge, when no step of at least ds_min is
-    accepted or at MAX_POINTS; ``Branch.termination`` says which.  Points
-    carry gamma_1 only with ``with_gamma1``.
+    SUP_CEILING, when no step of at least DS_MIN is accepted or at
+    MAX_POINTS; ``Branch.termination`` says which.  Points carry gamma_1
+    only with ``with_gamma1``.
     """
     domain = spec.domain
     m = domain.m
@@ -192,7 +189,6 @@ def continue_branch(spec: ProblemSpec, lam_window=None, *, ds_min: float = DS_MI
     seeds = _seed_points(spec, lam1, phi1, with_gamma1)
     points = list(seeds)
     lam_floor = LAM_FLOOR_FACTOR * lam1
-    lam_lo, lam_hi = (-math.inf, math.inf) if lam_window is None else lam_window
 
     ds = DS_INIT
     termination = "max-points"
@@ -206,7 +202,7 @@ def continue_branch(spec: ProblemSpec, lam_window=None, *, ds_min: float = DS_MI
             break
         t_w, t_lam = dw / norm, dl / norm
         accepted = None
-        while ds >= ds_min:
+        while ds >= DS_MIN:
             w_pred = cur.w + ds * t_w
             lam_pred = cur.lam + ds * t_lam
             try:
@@ -228,12 +224,9 @@ def continue_branch(spec: ProblemSpec, lam_window=None, *, ds_min: float = DS_MI
             break
         wv, lv = accepted
         points.append(make_point(spec, lv, wv, with_gamma1=with_gamma1, warm=cur))
-        ds = min(ds * 1.3, ds_max)
+        ds = min(ds * 1.3, DS_MAX)
         if lv < lam_floor:
             termination = "lam-floor"
-            break
-        if lv < lam_lo or lv > lam_hi:
-            termination = "window"
             break
         if points[-1].sup_norm > SUP_CEILING:
             termination = "blow-up"

@@ -81,10 +81,9 @@ def _oracle_system(form: str, params, lam: float, p: float):
     return residual, jacobian
 
 
-def _polish_grid(residual, jacobian, box: float):
-    """Vectorized Newton from a dense grid of seeds; returns converged pairs."""
-    axis = np.linspace(-box, box, _ORACLE_GRID)
-    d, c = [a.ravel() for a in np.meshgrid(axis, axis)]
+def _polish(residual, jacobian, d: np.ndarray, c: np.ndarray, box: float):
+    """Vectorized Newton from the seeds (d, c); returns the converged pairs.
+    A seed is dropped once it leaves 1e6 (1 + box) or meets a zero determinant."""
     done_d: list[np.ndarray] = []
     done_c: list[np.ndarray] = []
     with np.errstate(all="ignore"):
@@ -203,32 +202,21 @@ def oracle_1d(form: str, params, lam: float, p: float = 2.0,
         raise UnsupportedExponent(f"p={p} unsupported for form {form!r}")
     if form == LOGISTIC and lam <= 0.0:
         raise ShapeMismatch("logistic enumeration needs lambda > 0")
+    residual, jacobian = _oracle_system(form, params, lam, p)
+    # box covers the 1/lambda blow-up scale, stretched when a weight
+    # entry is small (root magnitudes grow like 1/(lambda * |weight|))
+    smallest = min(abs(float(params[0])), abs(float(params[1])), 1.0)
+    box = (2.0 + 4.0 / lam if lam > 0.0 else 6.0) / max(smallest, 1e-3)
     if method == "resultant":
         if p != 2.0:
             raise UnsupportedExponent("resultant fallback requires p = 2")
-        pairs = _resultant_pairs(form, params, lam)
         # verify and refine each root against the full system
-        residual, jacobian = _oracle_system(form, params, lam, p)
-        d, c = pairs[:, 0].copy(), pairs[:, 1].copy()
-        for _ in range(10):
-            f1, f2 = residual(d, c)
-            j11, j12, j21, j22 = jacobian(d, c)
-            det = j11 * j22 - j12 * j21
-            safe = np.abs(det) > 1e-300
-            d = np.where(safe, d - (f1 * j22 - f2 * j12) / np.where(safe, det, 1.0), d)
-            c = np.where(safe, c - (f2 * j11 - f1 * j21) / np.where(safe, det, 1.0), c)
-        f1, f2 = residual(d, c)
-        scale = 1.0 + d * d + c * c
-        ok = (np.abs(f1) < _ORACLE_POLISH_TOL * scale) & \
-            (np.abs(f2) < _ORACLE_POLISH_TOL * scale)
-        pairs = np.column_stack([d[ok], c[ok]])
+        seeds = _resultant_pairs(form, params, lam)
+        d, c = seeds[:, 0], seeds[:, 1]
     else:
-        residual, jacobian = _oracle_system(form, params, lam, p)
-        # box covers the 1/lambda blow-up scale, stretched when a weight
-        # entry is small (root magnitudes grow like 1/(lambda * |weight|))
-        smallest = min(abs(float(params[0])), abs(float(params[1])), 1.0)
-        box = (2.0 + 4.0 / lam if lam > 0.0 else 6.0) / max(smallest, 1e-3)
-        pairs = _polish_grid(residual, jacobian, box)
+        axis = np.linspace(-box, box, _ORACLE_GRID)
+        d, c = [a.ravel() for a in np.meshgrid(axis, axis)]
+    pairs = _polish(residual, jacobian, d, c, box)
     pairs = _dedup_pairs(pairs)
     classes = [_classify(form, d, c) for d, c in pairs]
     return Oracle1DReport(form, lam, pairs, classes)
@@ -299,16 +287,17 @@ class AsymptoticsFit:
 
 
 _TARGETS = ("sppr-v", "logistic-u")
+_FIT_SAMPLES = 12
 
 
-def asymptotics_fit(branch: Branch, lam_window, target: str,
-                    n_samples: int = 12) -> AsymptoticsFit:
+def asymptotics_fit(branch: Branch, lam_window, target: str) -> AsymptoticsFit:
     """Least-squares slope of log sup-norm vs log lambda over a window.
 
     ``target`` selects the rescaled variable: "sppr-v" uses
     v = lambda^(-1/(p-1)) w, "logistic-u" uses u = 1 + w / lambda.  Branch
     points inside the window are used when at least 8 of them span a
-    decade; otherwise the branch is resampled at log-spaced lambda.
+    decade; otherwise the branch is resampled at _FIT_SAMPLES log-spaced
+    lambda.
     """
     if target not in _TARGETS:
         raise ShapeMismatch(f"target must be one of {_TARGETS}")
@@ -320,10 +309,10 @@ def asymptotics_fit(branch: Branch, lam_window, target: str,
             pt.lam for pt in inside):
         samples = sorted(inside, key=lambda pt: pt.lam)
     else:
-        if hi < 10.0 * lo or n_samples < 8:
+        if hi < 10.0 * lo:
             raise InsufficientSamples(
                 "need at least 8 samples spanning a decade in lambda")
-        lams = np.geomspace(lo, hi, n_samples)
+        lams = np.geomspace(lo, hi, _FIT_SAMPLES)
         samples = [branch.at_lambda(float(l), with_gamma1=False) for l in lams]
     p = branch.spec.p
     lams = np.array([pt.lam for pt in samples])

@@ -224,18 +224,15 @@ def _damped_step(spec: ProblemSpec, lam: float, w: np.ndarray, step: np.ndarray,
     return None
 
 
-def minimize_nehari(spec: ProblemSpec, lam: float, init=None, *,
-                    grad_tol: float = GRAD_TOL) -> SolutionPoint:
+def minimize_nehari(spec: ProblemSpec, lam: float) -> SolutionPoint:
     """Local minimizer of J over the N^- part of the Nehari manifold.
 
-    Alternates a Barzilai-Borwein step on the free gradient of J with the
-    nodewise absolute value and the fibering-map projection; terminates
-    when the manifold-tangent gradient norm drops below ``grad_tol``.
+    Starts from phi_1(g) and alternates a Barzilai-Borwein step on the free
+    gradient of J with the nodewise absolute value and the fibering-map
+    projection; terminates when the manifold-tangent gradient norm drops
+    below GRAD_TOL.
     """
-    domain = spec.domain
-    if init is None:
-        init = principal_eigenvalue(domain, spec.g).eigenfunction.values
-    w = np.abs(as_values(domain, init))
+    w = np.abs(principal_eigenvalue(spec.domain, spec.g).eigenfunction.values)
     try:
         w = nehari_project(spec, lam, w)
     except Exception as exc:
@@ -246,12 +243,12 @@ def minimize_nehari(spec: ProblemSpec, lam: float, init=None, *,
     step = 1.0 / (1.0 + float(np.linalg.norm(grad)))
     # Descent alone stalls in rounding noise near the minimizer, so once the
     # tangent gradient is small a Newton polish on F = grad J finishes the job.
-    polish_at = max(grad_tol, 1e-5 * (1.0 + float(np.max(w))) ** spec.p)
+    polish_at = max(GRAD_TOL, 1e-5 * (1.0 + float(np.max(w))) ** spec.p)
     prev_w, prev_grad = None, None
     for _ in range(_MAX_DESCENT):
         tangent = _tangent_gradient(spec, lam, w, grad)
         tangent_norm = float(np.linalg.norm(tangent))
-        if tangent_norm < grad_tol:
+        if tangent_norm < GRAD_TOL:
             return make_point(spec, lam, w)
         if tangent_norm < polish_at and np.min(w) > 0.0:
             try:

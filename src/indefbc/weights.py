@@ -89,35 +89,13 @@ def trig_weight(domain: Domain, terms, plateaus=None,
     return values
 
 
-def _circular_runs(signs: np.ndarray):
-    """Maximal runs of equal sign around the circle, as (sign, length) pairs."""
-    m = len(signs)
-    start = 0
-    while start < m and signs[start] == signs[start - 1]:
-        start += 1
-    if start == m:  # constant sign all around
-        return [(int(signs[0]), m)]
-    runs = []
-    i = start
-    for _ in range(m):
-        j = i
-        length = 0
-        while length < m and signs[j % m] == signs[i % m]:
-            j += 1
-            length += 1
-        runs.append((int(signs[i % m]), length))
-        i = j
-        if i % m == start:
-            break
-    return runs
-
-
 def f_separation_check(domain: Domain, f) -> bool:
     """Discrete surrogate of the closure-separation condition on f.
 
-    True when f is nonzero at every node, or when every zero run lying
-    between a positive and a negative arc has at least two nodes (one
-    bordering each sign).  Interval weights are trivially separated.
+    True when f is nonzero at every node, or when no positive node neighbours
+    a negative one and every zero run lying between a positive and a
+    negative arc has at least two nodes (one bordering each sign).  Interval
+    weights are trivially separated.
     """
     fv = as_values(domain, f)
     if domain.kind == INTERVAL:
@@ -125,15 +103,7 @@ def f_separation_check(domain: Domain, f) -> bool:
     signs = np.where(fv > _ZERO_TOL, 1, np.where(fv < -_ZERO_TOL, -1, 0))
     if np.all(signs != 0):
         return True
-    runs = _circular_runs(signs)
-    if len(runs) == 1:
-        return True  # one-signed or identically zero: nothing to separate
-    n = len(runs)
-    for k, (sign, length) in enumerate(runs):
-        before = runs[(k - 1) % n][0]
-        after = runs[(k + 1) % n][0]
-        if sign != 0 and before != 0 and sign == -before:
-            return False  # +/- arcs touch directly
-        if sign == 0 and before == -after and before != 0 and length < 2:
-            return False  # too-thin zero run between opposite arcs
-    return True
+    before, after = np.roll(signs, 1), np.roll(signs, -1)
+    touching = signs * after < 0  # +/- arcs meet between neighbouring nodes
+    thin = (signs == 0) & (before * after < 0)  # one-node zero run between them
+    return not np.any(touching | thin)

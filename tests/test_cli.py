@@ -9,7 +9,8 @@ import scipy.linalg
 import indefbc.cli
 from indefbc.cli import CSV_HEADER, main
 from indefbc.config import config_from_dict, config_to_ini, load_config
-from indefbc.continuation import DS_MAX, DS_MIN, continue_branch
+import indefbc.continuation
+from indefbc.continuation import continue_branch
 from indefbc.domain import build_domain
 from indefbc.errors import ConfigError, ShapeMismatch
 from indefbc.problem import ProblemSpec
@@ -33,6 +34,12 @@ samples = 3
 seed = 0
 n_inits = 8
 """
+
+LOGISTIC_INI = INTERVAL_INI.replace("form = w-form", "form = logistic") \
+                           .replace("g = 1.0, -4.0", "r = -1.0, 4.0")
+
+DISK_INI = ("[domain]\nkind = unit-disk\nm = 32\n\n"
+            "[problem]\np = 2.0\ng_terms = 1:1.0:0.0; 0:-0.3:0.0\n")
 
 
 def _write(tmp_path, text, name="run.ini"):
@@ -94,9 +101,7 @@ def test_solve_probe_and_asympt_verdicts(tmp_path):
 
 
 def test_oracle1d_counts_and_scaling(tmp_path):
-    ini = INTERVAL_INI.replace("form = w-form", "form = logistic") \
-                      .replace("g = 1.0, -4.0", "r = -1.0, 4.0")
-    cfg = _write(tmp_path, ini)
+    cfg = _write(tmp_path, LOGISTIC_INI)
     assert main(["oracle1d", "--config", cfg, "--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "oracle1d.json").read_text())
     for rec in payload["enumerations"]:
@@ -116,13 +121,21 @@ def test_sweep_verdict_monotone(tmp_path):
 
 
 def test_reruns_are_byte_identical(tmp_path):
-    cfg = _write(tmp_path, INTERVAL_INI)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    for out in (out1, out2):
-        assert main(["probe", "--config", cfg, "--out", str(out)]) == 0
-        assert main(["eig", "--config", cfg, "--out", str(out)]) == 0
-    assert (out1 / "probe.json").read_bytes() == (out2 / "probe.json").read_bytes()
-    assert (out1 / "eig.json").read_bytes() == (out2 / "eig.json").read_bytes()
+    """Every command that writes a report writes the same bytes when rerun."""
+    sweep = INTERVAL_INI.replace("g = 1.0, -4.0", "g = 1.0, -1.0") + \
+        "\n[sweep]\ndeltas = 4.0, 2.0\n"
+    asympt = INTERVAL_INI.replace("0.05, 0.7", "0.001, 0.1")
+    runs = [("probe", INTERVAL_INI, ["probe.json"]), ("eig", INTERVAL_INI, ["eig.json"]),
+            ("solve", INTERVAL_INI, ["solve.json"]), ("asympt", asympt, ["asympt.json"]),
+            ("oracle1d", LOGISTIC_INI, ["oracle1d.json"]), ("sweep", sweep, ["sweep.json"]),
+            ("branch", DISK_INI, ["branch.csv", "branch_diagram.csv", "branch.json"])]
+    for command, text, names in runs:
+        cfg = _write(tmp_path, text, f"{command}.ini")
+        out1, out2 = tmp_path / command / "a", tmp_path / command / "b"
+        for out in (out1, out2):
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_report_echoes_raw_config_and_seed_override(tmp_path):
@@ -176,8 +189,8 @@ def test_exit_codes(tmp_path, capsys):
     dropped = [("sweep", f_interval + "\n[sweep]\ndeltas = 4.0, 2.0\n"),
                ("oracle1d", f_interval),
                ("eig", logistic.replace("p = 2.0", "p = 3.0"))]
-    for typo in ("[tolerances]\nstep_mim = 0.05\n", "[run]\nseeds = 3\n",
-                 "[solver]\nmax_iter = 5\n"):
+    for typo in ("[tolerances]\nstep_mim = 0.05\n", "[tolerances]\nstep_min = 0.05\n",
+                 "[run]\nseeds = 3\n", "[solver]\nmax_iter = 5\n"):
         dropped.append(("eig", INTERVAL_INI + "\n" + typo))
     for i, (command, text) in enumerate(dropped):
         assert main([command, "--config", _write(tmp_path, text, f"dropped{i}.ini"),
@@ -228,8 +241,6 @@ def test_branch_mu2_column_costs_one_eigh(tmp_path, monkeypatch):
     all: the first point's, and every later root is warm from the point before.
     Each value matches the full spectrum's mu_2^+ to 1e-12 relative, and the
     interval's column stays +inf."""
-    ini = ("[domain]\nkind = unit-disk\nm = 32\n\n"
-           "[problem]\np = 2.0\ng_terms = 1:1.0:0.0; 0:-0.3:0.0\n")
     eigh = scipy.linalg.eigh
     spectrum = indefbc.cli.weighted_steklov_spectrum
     inside, calls, pairs = [], [], []
@@ -251,7 +262,8 @@ def test_branch_mu2_column_costs_one_eigh(tmp_path, monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(indefbc.cli, "weighted_steklov_spectrum", recorded)
-    assert main(["branch", "--config", _write(tmp_path, ini), "--out", str(tmp_path / "disk")]) == 0
+    assert main(["branch", "--config", _write(tmp_path, DISK_INI),
+                 "--out", str(tmp_path / "disk")]) == 0
     assert len(pairs) >= 15 and len(calls) == 1
     for warm, full in pairs:
         assert abs(warm - full) <= 1e-12 * full
@@ -261,22 +273,12 @@ def test_branch_mu2_column_costs_one_eigh(tmp_path, monkeypatch):
     assert pairs and all(warm == full == math.inf for warm, full in pairs)
 
 
-def test_step_bounds_default_to_the_continuation_constants():
-    """A config without [tolerances] takes continue_branch's own step bounds."""
-    config = config_from_dict({"domain": {"kind": "unit-disk", "m": "16"}})
-    assert config.step_min == DS_MIN and config.step_max == DS_MAX
-    assert (config.step_min, config.step_max) == (1e-10, 0.2)
-
-
 def test_config_validation_messages(tmp_path):
     with pytest.raises(ConfigError):
         config_from_dict({"lambda": {"window": "0.5, 0.1"}})
     with pytest.raises(ConfigError):
-        config_from_dict({"tolerances": {"step_min": "-1"}})
-    with pytest.raises(ConfigError):
         config_from_dict({"domain": {"kind": "triangle"}})
-    for section, key, value in (("tolerances", "step_min", "nan"), ("problem", "p", "nan"),
-                                ("tolerances", "step_max", "inf"), ("lambda", "window", "0, nan")):
+    for section, key, value in (("problem", "p", "nan"), ("lambda", "window", "0, nan")):
         with pytest.raises(ConfigError):
             config_from_dict({section: {key: value}})
     interval = config_from_dict({"problem": {"g": "nan, -4"}})
@@ -289,8 +291,6 @@ def test_config_validation_messages(tmp_path):
                                  "problem": {"g_terms": "1:1:0; 0:-0.3:0", key: value}})
         with pytest.raises(ConfigError):
             disk.build_weight(disk.build_domain(), "g")
-    with pytest.raises(ConfigError):
-        config_from_dict({"tolerances": {"step_min": "0.3", "step_max": "0.2"}})
     with pytest.raises(ShapeMismatch):
         ProblemSpec(build_domain("interval", 2), math.nan, np.array([1.0, -4.0]))
     # weight keys the form or the domain kind does not read
@@ -314,37 +314,33 @@ def test_config_validation_messages(tmp_path):
     assert cfg.n_inits == 8
 
 
-def test_branch_reports_step_underflow_as_incomplete(tmp_path):
-    """step_min above the initial step (0.02) stops the disk branch after its seed
+def test_branch_reports_step_underflow_as_incomplete(tmp_path, monkeypatch):
+    """DS_MIN above the initial step (0.02) stops the disk branch after its seed
     points, next to lambda_1: branch.json says why, is incomplete, and the exit is 3.
-    The same disk with the default step_min runs to the lambda floor."""
-    ini = ("[domain]\nkind = unit-disk\nm = 32\n\n"
-           "[problem]\np = 2.0\ng_terms = 1:1.0:0.0; 0:-0.3:0.0\n")
-    underflow = ini + "\n[tolerances]\nstep_min = 0.05\n"
-    assert main(["branch", "--config", _write(tmp_path, underflow, "under.ini"),
-                 "--out", str(tmp_path / "under")]) == 3
+    The same disk with the real DS_MIN runs to the lambda floor."""
+    cfg = _write(tmp_path, DISK_INI)
+    with monkeypatch.context() as patch:
+        patch.setattr(indefbc.continuation, "DS_MIN", 0.05)
+        assert main(["branch", "--config", cfg, "--out", str(tmp_path / "under")]) == 3
     payload = json.loads((tmp_path / "under" / "branch.json").read_text())
     assert payload["incomplete"] and payload["termination"] == "step-underflow"
     assert payload["lam_range"][0] > 0.9 * payload["lambda1"]
-    assert main(["branch", "--config", _write(tmp_path, ini, "full.ini"),
-                 "--out", str(tmp_path / "full")]) == 0
+    assert main(["branch", "--config", cfg, "--out", str(tmp_path / "full")]) == 0
     payload = json.loads((tmp_path / "full" / "branch.json").read_text())
     assert not payload["incomplete"] and payload["termination"] == "lam-floor"
     assert payload["lam_range"][0] < 0.0
 
 
-def test_asympt_reads_the_step_options(tmp_path):
-    """asympt traces its branch with [tolerances] step_min and step_max: step_min
-    above the initial step (0.02) stops the trace after its seed points, so
-    asympt.json is incomplete, says why, holds no fit, and the exit is 3."""
-    ini = INTERVAL_INI.replace("0.05, 0.7", "0.001, 0.1")
-    assert main(["asympt", "--config", _write(tmp_path, ini, "full.ini"),
-                 "--out", str(tmp_path / "full")]) == 0
+def test_asympt_reads_the_step_options(tmp_path, monkeypatch):
+    """asympt traces its branch with continuation's step bounds: DS_MIN above the
+    initial step (0.02) stops the trace after its seed points, so asympt.json is
+    incomplete, says why, holds no fit, and the exit is 3."""
+    cfg = _write(tmp_path, INTERVAL_INI.replace("0.05, 0.7", "0.001, 0.1"))
+    assert main(["asympt", "--config", cfg, "--out", str(tmp_path / "full")]) == 0
     payload = json.loads((tmp_path / "full" / "asympt.json").read_text())
     assert not payload["incomplete"] and payload["termination"] == "lam-floor"
-    underflow = ini + "\n[tolerances]\nstep_min = 0.05\n"
-    assert main(["asympt", "--config", _write(tmp_path, underflow, "under.ini"),
-                 "--out", str(tmp_path / "under")]) == 3
+    monkeypatch.setattr(indefbc.continuation, "DS_MIN", 0.05)
+    assert main(["asympt", "--config", cfg, "--out", str(tmp_path / "under")]) == 3
     payload = json.loads((tmp_path / "under" / "asympt.json").read_text())
     assert payload["incomplete"] and payload["termination"] == "step-underflow"
     assert "verdict" not in payload and "lams" not in payload

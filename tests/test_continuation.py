@@ -111,7 +111,7 @@ def test_seeding_survives_near_threshold_weight():
 
 def test_sppr_transform_solves_rescaled_equation(interval):
     spec = ProblemSpec(interval, 2.0, G_1D)
-    branch = continue_branch(spec, lam_window=(1e-4, 1.0))
+    branch = continue_branch(spec)
     pos_branch = type(branch)(spec, [pt for pt in branch.points if pt.lam > 0],
                               branch.bifurcation_lambda, branch.tangent,
                               branch.direction)
@@ -122,8 +122,12 @@ def test_sppr_transform_solves_rescaled_equation(interval):
 def test_sppr_transform_weighs_v_to_the_p_by_f(disk32):
     """On the f-form, v = lambda^(-1/(p-1)) w solves Lambda v = lambda Q (g v + f v^p)."""
     spec = f_form_spec(disk32)
-    branch = continue_branch(spec, lam_window=(1e-2, 1.0))
-    positive = [pt for pt in branch.points if pt.lam > 0.0]
+    branch = continue_branch(spec)
+    # the trace down to its first point below lambda = 1e-2: further on, the
+    # f-form corrector runs toward (0, 0), and at lambda ~ 1e-6 to_sppr's
+    # residual reaches 1e-6, past this test's bound
+    stop = next(i for i, pt in enumerate(branch.points) if pt.lam < 1e-2)
+    positive = [pt for pt in branch.points[:stop + 1] if pt.lam > 0.0]
     assert len(positive) >= 10 and min(pt.lam for pt in positive) < 1e-2
     pos_branch = type(branch)(spec, positive, branch.bifurcation_lambda, branch.tangent,
                               branch.direction)
@@ -152,7 +156,7 @@ def test_sppr_transform_rejects_nonpositive_lambda(interval):
 def test_logistic_transform_gives_states_above_one(interval):
     r = np.array([-1.0, 4.0])
     spec = logistic_spec(interval, r)
-    branch = continue_branch(spec, lam_window=(1e-4, 1.0))
+    branch = continue_branch(spec)
     pos_branch = type(branch)(spec, [pt for pt in branch.points if pt.lam > 0],
                               branch.bifurcation_lambda, branch.tangent,
                               branch.direction)
@@ -163,7 +167,7 @@ def test_logistic_transform_gives_states_above_one(interval):
 
 def test_logistic_transform_validates_spec(interval):
     spec = ProblemSpec(interval, 2.0, G_1D)
-    branch = continue_branch(spec, lam_window=(1e-4, 1.0))
+    branch = continue_branch(spec)
     with pytest.raises(UNotAboveOne):
         to_logistic(branch, np.array([5.0, -1.0]))  # r != -g
     with pytest.raises(ShapeMismatch):
@@ -181,9 +185,8 @@ def test_step_options_control_termination(interval, monkeypatch):
 def test_branch_records_why_it_stopped(interval, monkeypatch):
     spec = ProblemSpec(interval, 2.0, G_1D)
     assert continue_branch(spec).termination == "lam-floor"
-    assert continue_branch(spec, lam_window=(0.3, 1.0)).termination == "window"
-    assert continue_branch(spec, ds_min=0.05).termination == "step-underflow"
-    for reason, constant, value in (("max-points", "MAX_POINTS", 6),
+    for reason, constant, value in (("step-underflow", "DS_MIN", 0.05),
+                                    ("max-points", "MAX_POINTS", 6),
                                     ("blow-up", "SUP_CEILING", 0.5)):
         with monkeypatch.context() as patch:
             patch.setattr(indefbc.continuation, constant, value)
