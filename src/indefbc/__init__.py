@@ -3,7 +3,6 @@ indefinite boundary weights: spectra, branches, and audits."""
 
 from .continuation import Branch, continue_branch, to_logistic, to_sppr
 from .domain import BoundaryFunction, Domain, build_domain
-from .dtn import DtnOperator, assemble_dtn, assemble_helmholtz_dtn, dirichlet_energy
 from .experiments import (
     AsymptoticsFit,
     Oracle1DReport,
@@ -29,17 +28,16 @@ from .spectral import (
     sigma1,
     weighted_steklov_spectrum,
 )
-from .weights import WeightFamily, build_family, f_separation_check, trig_weight
+from .weights import WeightFamily, build_family, trig_weight
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticsFit", "BoundaryFunction", "Branch", "Domain", "DtnOperator",
+    "AsymptoticsFit", "BoundaryFunction", "Branch", "Domain",
     "EigenPair", "MuSpectrum", "NehariDiagnostics", "Oracle1DReport",
-    "ProblemSpec", "SolutionPoint", "SweepResult",
-    "WeightFamily", "assemble_dtn", "assemble_helmholtz_dtn",
+    "ProblemSpec", "SolutionPoint", "SweepResult", "WeightFamily",
     "asymptotics_fit", "build_domain", "build_family", "continue_branch",
-    "delta_sweep", "dirichlet_energy", "f_separation_check", "gamma1",
+    "delta_sweep", "gamma1",
     "logistic_scenarios", "logistic_spec", "m_delta", "minimize_nehari",
     "multi_start_solutions", "newton_solve", "nonexistence_probe",
     "oracle_1d", "principal_eigenvalue", "sigma1", "to_logistic", "to_sppr",

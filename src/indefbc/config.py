@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -177,11 +176,3 @@ def load_config(path: str) -> RunConfig:
     raw = {section: dict(parser.items(section)) for section in parser.sections()}
     return config_from_dict(raw)
 
-
-def config_to_ini(raw: dict) -> str:
-    """Serialize an echoed config mapping back to INI text (round-trip)."""
-    parser = configparser.ConfigParser()
-    parser.read_dict(raw)
-    buffer = io.StringIO()
-    parser.write(buffer)
-    return buffer.getvalue()

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PointOutsideDomain, ResolutionTooSmall, ShapeMismatch
+from .errors import ResolutionTooSmall, ShapeMismatch
 
 INTERVAL = "interval"
 DISK = "unit-disk"
@@ -34,24 +34,18 @@ class Domain:
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
-    @property
-    def is_disk(self) -> bool:
-        return self.kind == DISK
-
 
 def build_domain(kind: str, m: int) -> Domain:
     """Build a boundary discretization with its quadrature weights.
 
     The interval requires m == 2; the disk requires m >= 8 and even.  The
-    disk's volume norm and harmonic extension drop the Nyquist mode n = m/2:
+    disk's volume norm drops the Nyquist mode n = m/2:
     its sine part vanishes at every node, so the nodal values do not fix
     its extension.
     """
     if kind == INTERVAL:
-        if m < 2:
-            raise ResolutionTooSmall(f"interval boundary needs m >= 2, got {m}")
         if m != 2:
-            raise ResolutionTooSmall("interval boundary has exactly two points")
+            raise ResolutionTooSmall(f"interval boundary needs m == 2, got {m}")
         nodes = np.array([0.0, 1.0])
         weights = np.array([1.0, 1.0])
         return Domain(INTERVAL, 2, nodes, weights)
@@ -86,20 +80,6 @@ class BoundaryFunction:
     def __post_init__(self):
         object.__setattr__(self, "values", as_values(self.domain, self.values))
 
-    def fourier(self) -> np.ndarray:
-        """Fourier-coefficient view (disk only): rfft normalized by M."""
-        if not self.domain.is_disk:
-            raise ShapeMismatch("Fourier view is available on the disk only")
-        return np.fft.rfft(self.values) / self.domain.m
-
-    @classmethod
-    def from_fourier(cls, domain: Domain, coeffs: np.ndarray) -> "BoundaryFunction":
-        values = np.fft.irfft(np.asarray(coeffs) * domain.m, n=domain.m)
-        return cls(domain, values)
-
-    def __len__(self) -> int:
-        return self.domain.m
-
 
 def boundary_integral(domain: Domain, bf) -> float:
     """Quadrature value of the boundary integral of a trace.
@@ -108,35 +88,6 @@ def boundary_integral(domain: Domain, bf) -> float:
     """
     values = as_values(domain, bf)
     return float(domain.weights @ values)
-
-
-def harmonic_extension_eval(domain: Domain, trace, point) -> float:
-    """Value of the harmonic extension of a boundary trace at an interior point.
-
-    Interval: linear interpolation at x in (0, 1).  Disk: Fourier synthesis
-    with mode n scaled by r^|n| at a cartesian point (x, y), |point| < 1.
-    The disk Nyquist mode is dropped: its sine part vanishes at every node,
-    so the nodal values do not determine its extension.
-    """
-    values = as_values(domain, trace)
-    if domain.kind == INTERVAL:
-        x = float(np.asarray(point).reshape(()))
-        if not 0.0 < x < 1.0:
-            raise PointOutsideDomain(f"x={x} not strictly inside (0, 1)")
-        return float(values[0] + (values[1] - values[0]) * x)
-    x, y = np.asarray(point, dtype=float).reshape(2)
-    r = float(np.hypot(x, y))
-    if r >= 1.0:
-        raise PointOutsideDomain(f"|point|={r} not strictly inside the unit disk")
-    theta = float(np.arctan2(y, x))
-    m = domain.m
-    coeffs = np.fft.rfft(values) / m
-    out = coeffs[0].real
-    for n in range(1, m // 2):  # Nyquist mode n = m/2 dropped
-        out += 2.0 * (r ** n) * (
-            coeffs[n].real * np.cos(n * theta) - coeffs[n].imag * np.sin(n * theta)
-        )
-    return float(out)
 
 
 def volume_l2_norm_sq(domain: Domain, trace) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .domain import INTERVAL, Domain, as_values
+from .domain import INTERVAL, Domain
 from .errors import SpectralParameterOutOfRange
 
 # First interior Dirichlet eigenvalue: pi^2 on the interval, j_{0,1}^2 on
@@ -34,11 +34,6 @@ class DtnOperator:
     domain: Domain
     s: float
     matrix: np.ndarray = field(repr=False)
-
-    def apply_normal_derivative(self, trace) -> np.ndarray:
-        """Outward normal derivative values of the extension (Q removed)."""
-        values = as_values(self.domain, trace)
-        return (self.matrix @ values) / self.domain.weights
 
 
 def _disk_multipliers(m: int, s: float) -> tuple[np.ndarray, np.ndarray]:
@@ -101,11 +96,6 @@ def _check_guard(domain: Domain, s: float) -> None:
         )
 
 
-def assemble_dtn(domain: Domain) -> DtnOperator:
-    """Harmonic (s = 0) DtN operator."""
-    return assemble_helmholtz_dtn(domain, 0.0)
-
-
 def assemble_helmholtz_dtn(domain: Domain, s: float) -> DtnOperator:
     """DtN operator of the Helmholtz extension -Delta u = s u.
 
@@ -151,14 +141,6 @@ def dtn_symbol(domain: Domain, s: float) -> tuple[np.ndarray, np.ndarray]:
     sym, slope = _disk_multipliers(domain.m, s)
     half = domain.m // 2
     return np.concatenate([sym, sym[1:half]]), np.concatenate([slope, slope[1:half]])
-
-
-def dirichlet_energy(dtn: DtnOperator, trace) -> float:
-    """Interior Dirichlet energy of the harmonic extension, <w, Q L w>."""
-    if dtn.s != 0.0:
-        raise SpectralParameterOutOfRange("Dirichlet energy requires the s=0 operator")
-    values = as_values(dtn.domain, trace)
-    return float(values @ dtn.matrix @ values)
 
 
 _HARMONIC_CACHE: dict[tuple[str, int], np.ndarray] = {}

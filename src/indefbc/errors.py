@@ -13,10 +13,6 @@ class ShapeMismatch(IndefbcError):
     """Trace length does not match the owning domain."""
 
 
-class PointOutsideDomain(IndefbcError):
-    """Evaluation point is not strictly inside the domain."""
-
-
 class SpectralParameterOutOfRange(IndefbcError):
     """Helmholtz parameter at or above the first interior Dirichlet eigenvalue."""
 

@@ -1,5 +1,4 @@
-"""Indefinite weight constructions: g_delta families, plateau weights,
-and the sign-separation surrogate for the superlinear weight f."""
+"""Indefinite weight constructions: g_delta families and plateau weights."""
 
 from __future__ import annotations
 
@@ -7,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import DISK, INTERVAL, Domain, as_values, boundary_integral
+from .domain import DISK, Domain, as_values, boundary_integral
 from .errors import DeltaBelowThreshold, ShapeMismatch
 
 _ZERO_TOL = 1e-12
@@ -88,22 +87,3 @@ def trig_weight(domain: Domain, terms, plateaus=None,
         values *= _smoothstep(dist / transition_width)
     return values
 
-
-def f_separation_check(domain: Domain, f) -> bool:
-    """Discrete surrogate of the closure-separation condition on f.
-
-    True when f is nonzero at every node, or when no positive node neighbours
-    a negative one and every zero run lying between a positive and a
-    negative arc has at least two nodes (one bordering each sign).  Interval
-    weights are trivially separated.
-    """
-    fv = as_values(domain, f)
-    if domain.kind == INTERVAL:
-        return True
-    signs = np.where(fv > _ZERO_TOL, 1, np.where(fv < -_ZERO_TOL, -1, 0))
-    if np.all(signs != 0):
-        return True
-    before, after = np.roll(signs, 1), np.roll(signs, -1)
-    touching = signs * after < 0  # +/- arcs meet between neighbouring nodes
-    thin = (signs == 0) & (before * after < 0)  # one-node zero run between them
-    return not np.any(touching | thin)

@@ -1,4 +1,6 @@
+import configparser
 import dataclasses
+import io
 import json
 import math
 
@@ -8,7 +10,7 @@ import scipy.linalg
 
 import indefbc.cli
 from indefbc.cli import CSV_HEADER, main
-from indefbc.config import config_from_dict, config_to_ini, load_config
+from indefbc.config import config_from_dict, load_config
 import indefbc.continuation
 from indefbc.continuation import continue_branch
 from indefbc.domain import build_domain
@@ -146,17 +148,17 @@ def test_report_echoes_raw_config_and_seed_override(tmp_path):
     echo = payload["config"]
     assert echo["problem"]["g"] == "1.0, -4.0"
     assert echo["run"]["seed"] == "7"
-    # the echo round-trips through the INI serializer
+    # the echo round-trips through INI text
     reparsed = config_from_dict(echo)
-    ini_text = config_to_ini(echo)
-    reloaded = config_from_dict(
-        {s: dict(v) for s, v in _parse_ini(ini_text).items()})
+    writer = configparser.ConfigParser()
+    writer.read_dict(echo)
+    buffer = io.StringIO()
+    writer.write(buffer)
+    reloaded = config_from_dict(_parse_ini(buffer.getvalue()))
     assert reloaded == reparsed
 
 
 def _parse_ini(text):
-    import configparser
-
     parser = configparser.ConfigParser()
     parser.read_string(text)
     return {s: dict(parser.items(s)) for s in parser.sections()}

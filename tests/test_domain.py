@@ -5,10 +5,9 @@ from indefbc.domain import (
     BoundaryFunction,
     boundary_integral,
     build_domain,
-    harmonic_extension_eval,
     volume_l2_norm_sq,
 )
-from indefbc.errors import PointOutsideDomain, ResolutionTooSmall, ShapeMismatch
+from indefbc.errors import ResolutionTooSmall, ShapeMismatch
 
 
 def test_interval_nodes_and_weights():
@@ -46,30 +45,6 @@ def test_boundary_integral_exact_for_low_trig(disk16):
                       atol=1e-13)
     assert np.isclose(boundary_integral(disk16, np.sin(3 * theta)), 0.0,
                       atol=1e-13)
-
-
-def test_fourier_round_trip(disk16):
-    rng = np.random.default_rng(0)
-    bf = BoundaryFunction(disk16, rng.normal(size=16))
-    back = BoundaryFunction.from_fourier(disk16, bf.fourier())
-    assert np.allclose(back.values, bf.values, atol=1e-13)
-
-
-def test_interval_extension_is_linear(interval):
-    trace = np.array([0.5, 0.25])
-    assert np.isclose(harmonic_extension_eval(interval, trace, 0.4),
-                      0.5 - 0.25 * 0.4)
-    with pytest.raises(PointOutsideDomain):
-        harmonic_extension_eval(interval, trace, 1.0)
-
-
-def test_disk_extension_of_cosine_is_x(disk16):
-    trace = np.cos(disk16.nodes)
-    for point in [(0.3, 0.1), (-0.5, 0.4), (0.0, 0.0)]:
-        assert np.isclose(harmonic_extension_eval(disk16, trace, point),
-                          point[0], atol=1e-12)
-    with pytest.raises(PointOutsideDomain):
-        harmonic_extension_eval(disk16, trace, (0.8, 0.8))
 
 
 def test_volume_l2_closed_forms(interval, disk16):

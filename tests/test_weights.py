@@ -3,7 +3,7 @@ import pytest
 
 from indefbc.domain import boundary_integral, build_domain
 from indefbc.errors import DeltaBelowThreshold, ShapeMismatch
-from indefbc.weights import build_family, f_separation_check, trig_weight
+from indefbc.weights import build_family, trig_weight
 
 
 def test_delta0_closed_form_on_interval(interval):
@@ -83,40 +83,3 @@ def test_trig_weight_rejects_interval(interval):
     with pytest.raises(ShapeMismatch):
         trig_weight(interval, [(1, 1.0, 0.0)])
 
-
-# ---------------------------------------------------------------------------
-# sign-separation surrogate
-# ---------------------------------------------------------------------------
-
-def test_separation_trivially_true_on_interval(interval):
-    assert f_separation_check(interval, np.array([1.0, -4.0]))
-
-
-def test_separation_true_when_nowhere_zero(disk16):
-    assert f_separation_check(disk16, np.cos(disk16.nodes) + 0.3)
-
-
-def test_separation_false_for_thin_zero_gap(disk16):
-    # cos vanishes (to rounding) at exactly one node between the arcs
-    assert not f_separation_check(disk16, np.cos(disk16.nodes))
-
-
-def test_separation_true_for_wide_zero_gap():
-    dom = build_domain("unit-disk", 16)
-    vals = np.zeros(16)
-    vals[0:4] = 1.0
-    vals[8:12] = -1.0
-    assert f_separation_check(dom, vals)
-
-
-def test_separation_false_when_arcs_touch():
-    dom = build_domain("unit-disk", 16)
-    vals = np.zeros(16)
-    vals[0:4] = 1.0
-    vals[4:8] = -1.0  # opposite arcs adjacent, zero run elsewhere
-    assert not f_separation_check(dom, vals)
-
-
-def test_separation_true_for_one_signed_weight(disk16):
-    assert f_separation_check(disk16, np.cos(disk16.nodes) + 2.0)
-    assert f_separation_check(disk16, np.zeros(16))
