@@ -92,7 +92,7 @@ def _mu2_plus(spec, point, lam1: float, guess):
 
 
 def cmd_eig(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bool]:
-    domain = config.build_domain()
+    domain = config.domain
     spec = config.build_spec(domain)
     rows = []
     notes = []
@@ -126,7 +126,7 @@ def cmd_eig(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bool]
 
 
 def cmd_solve(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bool]:
-    domain = config.build_domain()
+    domain = config.domain
     spec = config.build_spec(domain)
     records = []
     incomplete = False
@@ -151,7 +151,7 @@ def cmd_solve(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, boo
 
 
 def cmd_branch(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bool]:
-    domain = config.build_domain()
+    domain = config.domain
     spec = config.build_spec(domain)
     branch = continue_branch(spec)
     lam1 = branch.bifurcation_lambda
@@ -188,7 +188,7 @@ def cmd_branch(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bo
 def cmd_sweep(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bool]:
     if config.form == F_FORM:
         raise ConfigError(f"sweep does not support form = {F_FORM}")
-    domain = config.build_domain()
+    domain = config.domain
     spec = config.build_spec(domain)
     if not config.deltas:
         raise ConfigError("[sweep] deltas is required for the sweep command")
@@ -222,7 +222,7 @@ def cmd_sweep(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, boo
 def cmd_oracle1d(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bool]:
     if config.form == F_FORM:
         raise ConfigError(f"oracle1d does not support form = {F_FORM}")
-    domain = config.build_domain()
+    domain = config.domain
     if domain.kind != INTERVAL:
         raise ConfigError("oracle1d requires the interval domain")
     spec = config.build_spec(domain)
@@ -254,7 +254,7 @@ def cmd_oracle1d(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, 
 
 
 def cmd_asympt(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bool]:
-    domain = config.build_domain()
+    domain = config.domain
     spec = config.build_spec(domain)
     branch = continue_branch(spec, with_gamma1=False)  # the fit reads no gamma_1
     target = "logistic-u" if spec.form == LOGISTIC else "sppr-v"
@@ -273,7 +273,7 @@ def cmd_asympt(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bo
 
 
 def cmd_probe(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bool]:
-    domain = config.build_domain()
+    domain = config.domain
     spec = config.build_spec(domain)
     lam1 = principal_eigenvalue(domain, spec.g).value
     lams = [lam1, 1.1 * lam1, 2.0 * lam1] if lam1 > 0.0 else _lam_grid(config)

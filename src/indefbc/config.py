@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import INTERVAL, KINDS, Domain, build_domain
-from .errors import ConfigError
+from .domain import INTERVAL, Domain, build_domain
+from .errors import ConfigError, ResolutionTooSmall
 from .problem import F_FORM, FORMS, LOGISTIC, W_FORM, ProblemSpec, logistic_spec
 from .weights import trig_weight
 
@@ -34,8 +34,8 @@ def _weight_keys(kind: str, form: str) -> set:
 class RunConfig:
     """Validated run settings plus the raw key/value echo."""
 
-    domain_kind: str
-    m: int
+    # built from [domain]; equality reads it through raw, as its arrays compare elementwise
+    domain: Domain = field(repr=False, compare=False)
     p: float
     form: str
     lam_window: tuple
@@ -45,9 +45,6 @@ class RunConfig:
     out_dir: str
     n_inits: int
     raw: dict = field(repr=False)  # {section: {key: value}} as read
-
-    def build_domain(self) -> Domain:
-        return build_domain(self.domain_kind, self.m)
 
     def build_weight(self, domain: Domain, name: str):
         """Weight named ``name`` from the [problem] section.
@@ -142,8 +139,10 @@ def config_from_dict(raw: dict) -> RunConfig:
         n_inits = int(_get(parser, "run", "n_inits", "64"))
     except (ValueError, configparser.Error) as exc:
         raise ConfigError(str(exc)) from exc
-    if kind not in KINDS:
-        raise ConfigError(f"unknown domain kind {kind!r}")
+    try:
+        domain = build_domain(kind, m)
+    except ResolutionTooSmall as exc:
+        raise ConfigError(str(exc)) from exc
     if form not in FORMS:
         raise ConfigError(f"unknown form {form!r}")
     if form == LOGISTIC and p != 2.0:
@@ -151,17 +150,17 @@ def config_from_dict(raw: dict) -> RunConfig:
     for section in parser.sections():
         known = _KEYS.get(section, set())
         if section == "problem":
-            known = known | _weight_keys(kind, form)
+            known = known | _weight_keys(domain.kind, form)
         unknown = sorted(set(parser.options(section)) - known)
         if unknown:
             raise ConfigError(f"[{section}] keys not read for form {form} on {kind}: "
                               f"{', '.join(unknown)}")
     if len(window) != 2 or not 0.0 <= window[0] < window[1]:
         raise ConfigError(f"bad lambda window {window}")
-    if samples < 1 or n_inits < 1 or m < 2 or seed < 0:
-        raise ConfigError("samples, n_inits, m must be >= 1 (m >= 2); seed >= 0")
+    if samples < 1 or n_inits < 1 or seed < 0:
+        raise ConfigError("samples, n_inits must be >= 1; seed >= 0")
     echo = {section: dict(parser.items(section)) for section in parser.sections()}
-    return RunConfig(kind, m, p, form, (window[0], window[1]), samples, deltas,
+    return RunConfig(domain, p, form, (window[0], window[1]), samples, deltas,
                      seed, out_dir, n_inits, echo)
 
 

@@ -17,7 +17,6 @@ INTERVAL = "interval"
 DISK = "unit-disk"
 
 _DISK_ALIASES = {"disk", "unit-disk", "unit_disk"}
-KINDS = {INTERVAL, *_DISK_ALIASES}  # every kind build_domain accepts
 
 
 @dataclass(frozen=True)

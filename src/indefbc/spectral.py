@@ -37,10 +37,6 @@ _RESIDUAL_TOL = 1e-8
 _S_FLOOR = -1e12  # the sigma_1 / gamma_1 root search gives up below this s
 _MAX_ROOT_STEPS = 200  # bisection alone narrows the widest bracket to 1e-14 in 87
 _EPS = float(np.finfo(float).eps)
-# A Cholesky-reduced mu_2^+ whose relative error estimate eps max|nu| mu_2^+ exceeds
-# this goes to QZ.  The estimate overstated the error at least 5x where measured;
-# branch seed points next to lambda_1 reach 1.5e-11, lambda = 1e-6 lambda_1 1.6e-10.
-_MU2_RTOL = 1e-10
 # (1, w) is deflated from the mu-pencil when |A w - B w| <= _DEFLATE_RTOL |B w|; an
 # error e in w moves the deflated mu_2^+ by O(|e|^2) only, as the exact B w is
 # orthogonal to the other eigenvectors (branch seed points next to lambda_1 reach
@@ -61,7 +57,6 @@ class EigenPair:
 
     value: float
     eigenfunction: BoundaryFunction
-    normalization: str  # "H1" | "boundary-L2"
     residual: float
 
 
@@ -69,32 +64,32 @@ class EigenPair:
 class MuSpectrum:
     """Real spectrum of the weighted problem at a solution (lambda, w).
 
-    ``mu2_plus`` comes with the call, and at a solution with its eigenvector
-    ``mu2_vector``, the next call's ``guess``.  The whole spectrum
-    (``mu_values``, ``mu1_minus``, ``mu1_plus``) and its ``eigenfunctions`` and
-    ``principal`` flags are computed on first read and cached, so a caller that
-    reads only mu_2^+ never pays for them.
+    ``mu2_plus`` comes with the call, and from the deflated root with its
+    eigenvector ``mu2_vector``, the next call's ``guess``.  The whole spectrum
+    (``mu_values``, ``mu1_minus``, ``mu1_plus``) with its ``eigenfunctions`` and
+    ``principal`` flags comes from one QZ of the pencil, values and vectors
+    together, run by the call where mu_2^+ needs it and otherwise on first read,
+    and cached, so a caller that reads only the deflated mu_2^+ never pays for it.
     """
 
     mu2_plus: float  # +inf when absent
     mu2_vector: np.ndarray | None = field(repr=False, compare=False)  # None when not computed
     _weights: np.ndarray = field(repr=False, compare=False)  # boundary quadrature
     _pencil: tuple = field(repr=False, compare=False)  # (A, b): A phi = mu diag(b) phi
-    # (mu_values, the eigh column of each or None from QZ) when the call solved for them
+    # the pencil's QZ (mu_values, vector columns) when the call ran it
     _solved: tuple | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def _spectrum(self) -> tuple:
-        return self._solved if self._solved is not None else _pencil_spectrum(*self._pencil)
+        if self._solved is not None:
+            return self._solved
+        a, b = self._pencil
+        return _real_pencil_eigs(a, np.diag(b))
 
     @property
     def mu_values(self) -> np.ndarray:
         """All real mu, ascending."""
         return self._spectrum[0]
-
-    @property
-    def _columns(self) -> np.ndarray | None:
-        return self._spectrum[1]
 
     @cached_property
     def mu1_plus(self) -> float:
@@ -108,17 +103,8 @@ class MuSpectrum:
 
     @cached_property
     def eigenfunctions(self) -> np.ndarray:
-        """Columns aligned with mu_values, boundary-L2 normalized, largest entry positive.
-
-        From dsygv (QR iteration): on the columns of m = 64 branch points whose mu
-        are 1e-3 apart it came within 2.1e-12 of a 40-digit reference, where the
-        default divide and conquer (dsygvd) erred by up to 1.3e-9.
-        """
-        a, b = self._pencil
-        if self._columns is None:
-            funcs = _real_pencil_eigs(a, np.diag(b))[1]
-        else:
-            funcs = scipy.linalg.eigh(np.diag(b), a, driver="gv")[1][:, self._columns]
+        """Columns aligned with mu_values, boundary-L2 normalized, largest entry positive."""
+        funcs = self._spectrum[1]
         funcs = funcs / np.sqrt(self._weights @ funcs ** 2)
         peaks = funcs[np.argmax(np.abs(funcs), axis=0), np.arange(funcs.shape[1])]
         return np.where(peaks < 0.0, -funcs, funcs)
@@ -146,25 +132,19 @@ def _boundary_l2_normalize(domain: Domain, v: np.ndarray) -> np.ndarray:
 
 
 def _checked_pair(domain: Domain, value: float, func: np.ndarray, defect: np.ndarray,
-                  weight: np.ndarray, normalization: str, label: str) -> EigenPair:
+                  weight: np.ndarray, label: str) -> EigenPair:
     """EigenPair with residual |defect|; raises if it is non-finite or above the bound."""
     res = float(np.linalg.norm(defect))
     bound = _RESIDUAL_TOL * (1.0 + float(np.max(np.abs(weight))))
     if not res <= bound:
         raise ResidualAboveTolerance(f"{label}: residual {res} above {bound}")
-    return EigenPair(float(value), BoundaryFunction(domain, func), normalization, res)
+    return EigenPair(float(value), BoundaryFunction(domain, func), res)
 
 
 def _real_finite(vals: np.ndarray) -> np.ndarray:
     """Mask of the finite, numerically real entries of a QZ spectrum."""
     scale = max(1.0, float(np.max(np.abs(vals[np.isfinite(vals)]).real, initial=1.0)))
     return np.isfinite(vals) & (np.abs(vals.imag) <= 1e-9 * scale)
-
-
-def _real_pencil_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Finite real eigenvalues of a v = mu b v via QZ without vectors, ascending."""
-    vals = scipy.linalg.eig(a, b, right=False)
-    return np.sort(vals[_real_finite(vals)].real)
 
 
 def _real_pencil_eigs(a: np.ndarray, b: np.ndarray):
@@ -212,7 +192,7 @@ def principal_eigenvalue(domain: Domain, g) -> EigenPair:
     if nonnegative_integral(domain, gv):
         const = np.ones(domain.m)
         func = _h1_normalize(domain, const)
-        return EigenPair(0.0, BoundaryFunction(domain, func), "H1", 0.0)
+        return EigenPair(0.0, BoundaryFunction(domain, func), 0.0)
     phi = (gv > 0.0).astype(float)
     if not phi.any():
         raise RootNotBracketed("lambda1: g has no positive entry")
@@ -238,7 +218,7 @@ def principal_eigenvalue(domain: Domain, g) -> EigenPair:
     if not np.all(func > 0.0):
         raise RootNotBracketed(f"lambda1: the eigenvector at {lam} changes sign")
     defect = lap @ func - domain.weights * lam * gv * func
-    return _checked_pair(domain, lam, func, defect, lam * gv, "H1", "lambda1")
+    return _checked_pair(domain, lam, func, defect, lam * gv, "lambda1")
 
 
 def lifted_cholesky(a: np.ndarray, u: np.ndarray, c: float):
@@ -402,7 +382,7 @@ def _shifted_root(domain: Domain, weight: np.ndarray, shift: float, guess: np.nd
     func = _boundary_l2_normalize(domain, basis @ y)
     shifted = weight + shift * s
     defect = dtn_matrix(domain, s) @ func - domain.weights * shifted * func
-    return _checked_pair(domain, s, func, defect, shifted, "boundary-L2", label)
+    return _checked_pair(domain, s, func, defect, shifted, label)
 
 
 def sigma1(domain: Domain, g, lam: float) -> EigenPair:
@@ -433,41 +413,15 @@ def gamma1(domain: Domain, g, lam: float, w, p: float, h=None, warm=None) -> Eig
     return _shifted_root(domain, weight, 1.0, eigenfunction, "gamma1", min(value, 0.0))
 
 
-def _pencil_spectrum(a: np.ndarray, b: np.ndarray, at_zero: bool = False) -> tuple:
-    """All real mu of A phi = mu diag(b) phi, ascending, with the eigh column of
-    each (None where they come from QZ).
-
-    For lambda in (0, lambda_1(g)) A is positive definite, and the values are
-    nu = 1/mu of the symmetric-definite pencil (diag(b), A), from one
-    eigenvalue-only Cholesky-reduced ``eigh`` (Golub & Van Loan 8.7).  At
-    lambda = 0 (``at_zero``), A is only semidefinite (kernel = constants) and
-    QZ is used instead.  A failed Cholesky factorization of A falls back on
-    A's smallest eigenvalue: below -1e-10 * scale raises, within the round-off
-    window around 0 QZ is used as well.  Where A is nearly singular the
-    reduction's nu err by up to about eps max|nu|, and QZ is used too when
-    mu_2^+'s relative error estimate eps max|nu| mu_2^+ exceeds _MU2_RTOL
-    (within about 1e-6 lambda_1 of lambda = 0).
-    """
-    if not at_zero:
-        try:
-            nus = scipy.linalg.eigh(np.diag(b), a, eigvals_only=True)
-        except np.linalg.LinAlgError:  # A not numerically positive definite
-            evals = np.linalg.eigvalsh(a)
-            scale = max(abs(evals[0]), abs(evals[-1]), 1.0)
-            if evals[0] < -1e-10 * scale:
-                raise PencilNotPositiveDefinite(
-                    f"Lambda - lambda M_g has eigenvalue {evals[0]}; lambda outside (0, lambda_1)"
-                ) from None
-        else:
-            keep = np.flatnonzero(np.abs(nus) > 1e-12)
-            # eigh sorts nu alike with or without vectors
-            columns = keep[np.argsort(1.0 / nus[keep])]
-            mus = 1.0 / nus[columns]
-            # each nu errs by about eps max|nu|, so mu_2^+ by that times mu_2^+ relative
-            positive = mus[mus > 1e-12]
-            if not (len(positive) >= 2 and _EPS * np.max(np.abs(nus)) * positive[1] > _MU2_RTOL):
-                return mus, columns
-    return _real_pencil_values(a, np.diag(b)), None
+def _require_semidefinite(a: np.ndarray) -> None:
+    """Raise PencilNotPositiveDefinite if A = Lambda - lambda M_g, which dpotrf did not
+    factor, has an eigenvalue below -1e-10 * scale; within that round-off window
+    around lambda = 0 the mu-pencil still has a spectrum."""
+    evals = np.linalg.eigvalsh(a)
+    scale = max(abs(evals[0]), abs(evals[-1]), 1.0)
+    if evals[0] < -1e-10 * scale:
+        raise PencilNotPositiveDefinite(
+            f"Lambda - lambda M_g has eigenvalue {evals[0]}; lambda outside (0, lambda_1)")
 
 
 def _deflated_mu2(a: np.ndarray, b: np.ndarray, w: np.ndarray, guess) -> tuple[float, np.ndarray]:
@@ -517,11 +471,13 @@ def weighted_steklov_spectrum(domain: Domain, g, lam: float, w, p: float, h=None
     -- mu_2^+ is the deflated root of ``_deflated_mu2``, started from ``guess``
     (the ``mu2_vector`` of a nearby solution's spectrum; None costs one
     ``eigh``), and +inf when M_{h w^(p-1)} has at most one positive entry, since
-    the pencil has as many positive mu as it has positive entries.  The rest
-    of the spectrum is computed on first read by ``_pencil_spectrum``, which
-    also gives mu_2^+ everywhere else: at lambda = 0, off a solution, or where
-    the root fails.  mu = 1 is always present at a solution, with
-    eigenfunction w.
+    the pencil has as many positive mu as it has positive entries.  Everything
+    else comes from one QZ of (A, M_{h w^(p-1)}) with vectors: the rest of the
+    spectrum on first read, and mu_2^+ itself at lambda = 0 (A only
+    semidefinite, kernel = constants), off a solution, or where the root fails.
+    Where dpotrf fails at lambda != 0, an eigenvalue of A below -1e-10 * scale
+    raises PencilNotPositiveDefinite.  mu = 1 is always present at a solution,
+    with eigenfunction w.
     """
     gv = as_values(domain, g)
     wv = as_values(domain, w)
@@ -530,8 +486,9 @@ def weighted_steklov_spectrum(domain: Domain, g, lam: float, w, p: float, h=None
     b = domain.weights * hv * np.abs(wv) ** (p - 1.0)  # diagonal of M_{h w^(p-1)}
     if lam != 0.0:
         bw = b * wv
-        eigenpair = np.linalg.norm(a @ wv - bw) <= _DEFLATE_RTOL * np.linalg.norm(bw)
-        if eigenpair and lapack.dpotrf(a.T, lower=1, clean=0)[1] == 0:  # A^T = A, Fortran order
+        if lapack.dpotrf(a.T, lower=1, clean=0)[1] != 0:  # A^T = A, Fortran order
+            _require_semidefinite(a)
+        elif np.linalg.norm(a @ wv - bw) <= _DEFLATE_RTOL * np.linalg.norm(bw):
             if np.count_nonzero(b > 0.0) <= 1:
                 return MuSpectrum(math.inf, None, domain.weights, (a, b))
             try:
@@ -540,10 +497,10 @@ def weighted_steklov_spectrum(domain: Domain, g, lam: float, w, p: float, h=None
                 pass
             else:
                 return MuSpectrum(mu2, vec, domain.weights, (a, b))
-    mus, columns = _pencil_spectrum(a, b, lam == 0.0)
-    positive = mus[mus > 1e-12]
+    solved = _real_pencil_eigs(a, np.diag(b))
+    positive = solved[0][solved[0] > 1e-12]
     mu2_plus = float(positive[1]) if len(positive) >= 2 else math.inf
-    return MuSpectrum(mu2_plus, None, domain.weights, (a, b), (mus, columns))
+    return MuSpectrum(mu2_plus, None, domain.weights, (a, b), solved)
 
 
 def m_delta(branch) -> float:

@@ -182,6 +182,12 @@ def test_exit_codes(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "solver error" in err
+    # 2: a resolution that build_domain rejects, on the disk and on the interval
+    for i, text in enumerate((DISK_INI.replace("m = 32", "m = 6"),
+                              INTERVAL_INI.replace("m = 2", "m = 3"))):
+        assert main(["eig", "--config", _write(tmp_path, text, f"resolution{i}.ini"),
+                     "--out", str(tmp_path)]) == 2
+    assert "solver error" not in capsys.readouterr().err
     # 2: inputs a command would otherwise drop: the f-form in sweep and oracle1d,
     # p != 2 under the logistic form, and keys that nothing reads
     f_interval = INTERVAL_INI.replace("form = w-form", "form = f-form") \
@@ -221,7 +227,7 @@ def test_f_form_branch_reports_the_f_pencil(tmp_path):
     assert main(["branch", "--config", cfg, "--out", str(tmp_path)]) == 0
     rows = [line.split(",") for line in (tmp_path / "branch.csv").read_text().splitlines()[1:]]
     config = load_config(cfg)
-    spec = config.build_spec(config.build_domain())
+    spec = config.build_spec(config.domain)
     branch = continue_branch(spec)
     lam1 = branch.bifurcation_lambda
     assert len(rows) == len(branch.points)
@@ -285,14 +291,14 @@ def test_config_validation_messages(tmp_path):
             config_from_dict({section: {key: value}})
     interval = config_from_dict({"problem": {"g": "nan, -4"}})
     with pytest.raises(ConfigError):
-        interval.build_weight(interval.build_domain(), "g")
+        interval.build_weight(interval.domain, "g")
     for key, value in (("g_terms", "x:1:0"), ("g_terms", "1:nan:0"),
                        ("g_plateaus", "0:inf"), ("g_transition_width", "nan"),
                        ("g_transition_width", "0")):
         disk = config_from_dict({"domain": {"kind": "unit-disk", "m": "16"},
                                  "problem": {"g_terms": "1:1:0; 0:-0.3:0", key: value}})
         with pytest.raises(ConfigError):
-            disk.build_weight(disk.build_domain(), "g")
+            disk.build_weight(disk.domain, "g")
     with pytest.raises(ShapeMismatch):
         ProblemSpec(build_domain("interval", 2), math.nan, np.array([1.0, -4.0]))
     # weight keys the form or the domain kind does not read
@@ -309,7 +315,7 @@ def test_config_validation_messages(tmp_path):
                                    "problem": {"form": "f-form", "g_terms": "1:1:0; 0:-0.3:0",
                                                "f_terms": "0:1:0", "f_plateaus": "0:0.5",
                                                "f_transition_width": "0.1"}})
-        assert config.build_domain().kind == "unit-disk"
+        assert config.domain.kind == "unit-disk"
     assert config_from_dict({"problem": {"form": "logistic", "p": "2", "r": "-1, 4"}}).p == 2.0
     cfg = load_config(_write(tmp_path, INTERVAL_INI))
     assert cfg.lam_window == (0.05, 0.7)

@@ -884,8 +884,8 @@ def test_mu_spectrum_matches_per_column_reference():
 def test_mu2_plus_needs_one_eigh_cold_and_none_warm(monkeypatch):
     """At a solution, mu_2^+ costs one eigh for the top eigenvector of the deflated
     pencil without a guess, and none from the mu_2 eigenvector of a nearby
-    solution; the whole spectrum costs one eigenvalue-only eigh and the
-    eigenfunctions one more, each once, when first read."""
+    solution; the whole spectrum with its eigenfunctions costs one QZ
+    (scipy.linalg.eig) when first read, and nothing after."""
     dom = build_domain("unit-disk", 64)
     g = sign_changing_disk_weight(dom)
     branch = continue_branch(ProblemSpec(dom, 2.0, g), with_gamma1=False)
@@ -893,14 +893,18 @@ def test_mu2_plus_needs_one_eigh_cold_and_none_warm(monkeypatch):
     point = branch.at_lambda(0.3 * lam1, with_gamma1=False)
     near = branch.at_lambda(0.32 * lam1, with_gamma1=False)
     calls = []
-    eigh = scipy.linalg.eigh
+    eigh, eig = scipy.linalg.eigh, scipy.linalg.eig
 
     def counted_eigh(*args, **kwargs):
-        calls.append("top" if "subset_by_index" in kwargs
-                     else "values" if kwargs.get("eigvals_only") else "vectors")
+        calls.append("top" if "subset_by_index" in kwargs else "eigh")
         return eigh(*args, **kwargs)
 
+    def counted_eig(*args, **kwargs):
+        calls.append("qz")
+        return eig(*args, **kwargs)
+
     monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(scipy.linalg, "eig", counted_eig)
     spec = weighted_steklov_spectrum(dom, g, point.lam, point.w, 2.0)
     assert math.isfinite(spec.mu2_plus) and spec.mu2_vector is not None
     assert calls == ["top"]
@@ -911,60 +915,48 @@ def test_mu2_plus_needs_one_eigh_cold_and_none_warm(monkeypatch):
     del calls[:]
     assert spec.mu_values[spec.mu_values > 1e-12][1] == pytest.approx(spec.mu2_plus, rel=1e-12)
     assert abs(spec.mu1_plus - 1.0) < 1e-8
-    assert calls == ["values"]
+    assert calls == ["qz"]
     funcs = spec.eigenfunctions
     assert spec.principal.sum() >= 1
-    assert calls == ["values", "vectors"]
     assert spec.eigenfunctions is funcs and spec.principal.sum() >= 1
-    assert calls == ["values", "vectors"]
+    assert calls == ["qz"]
 
 
-def test_mu_qz_values_match_qz_with_vectors():
-    """Where the mu-spectrum goes to QZ (lambda = 0 and 1e-9 lambda_1), its
-    values-only QZ gives the values of the QZ with vectors to 1e-12 relative."""
-    for m in (16, 64):
-        dom = build_domain("unit-disk", m)
-        g = sign_changing_disk_weight(dom)
-        w = 0.2 + 0.1 * np.cos(dom.nodes)
-        lam1 = principal_eigenvalue(dom, g).value
-        for lam in (0.0, 1e-9 * lam1):
-            spec = weighted_steklov_spectrum(dom, g, lam, w, 2.0)
-            assert spec._columns is None  # the QZ path
-            a, b = spec._pencil
-            expected = indefbc.spectral._real_pencil_eigs(a, np.diag(b))[0]
-            assert len(spec.mu_values) == len(expected) == m
-            scale = np.maximum(np.abs(expected), 1e-12)
-            assert np.all(np.abs(spec.mu_values - expected) <= 1e-12 * scale)
-
-
-def test_mu2_plus_needs_no_qz_vectors(monkeypatch, disk16):
-    """On the QZ path, mu_2^+ costs one QZ without vectors; the eigenfunctions
-    one QZ with vectors, once, when first read."""
+def test_fallback_mu_spectrum_needs_one_qz(monkeypatch, disk16):
+    """Where mu_2^+ does not come from the deflated root (at lambda = 0, and off a
+    solution at 0.3 lambda_1), the spectrum costs one QZ with vectors, run by the
+    call; reading the values and eigenfunctions costs none more."""
     calls = []
     eig = scipy.linalg.eig
 
     def counted_eig(*args, **kwargs):
-        calls.append(kwargs.get("right", True))
+        calls.append(1)
         return eig(*args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "eig", counted_eig)
     g = sign_changing_disk_weight(disk16)
-    spec = weighted_steklov_spectrum(disk16, g, 0.0, 0.2 + 0.1 * np.cos(disk16.nodes), 2.0)
-    assert math.isfinite(spec.mu2_plus)
-    assert calls == [False]
-    funcs = spec.eigenfunctions
-    assert funcs.shape == (16, len(spec.mu_values)) and spec.eigenfunctions is funcs
-    assert calls == [False, True]
+    w = 0.2 + 0.1 * np.cos(disk16.nodes)
+    lam1 = principal_eigenvalue(disk16, g).value
+    for lam in (0.0, 0.3 * lam1):
+        calls.clear()
+        spec = weighted_steklov_spectrum(disk16, g, lam, w, 2.0)
+        assert math.isfinite(spec.mu2_plus) and spec.mu2_vector is None
+        assert len(calls) == 1
+        funcs = spec.eigenfunctions
+        assert funcs.shape == (16, len(spec.mu_values)) and spec.eigenfunctions is funcs
+        assert spec.principal.shape == spec.mu_values.shape
+        assert len(calls) == 1
 
 
 def test_mu2_plus_accurate_next_to_lambda_zero(disk16):
-    """Within 1e-6 lambda_1 of 0, where A = Lambda - lambda M_g is nearly singular,
-    mu_2^+ stays within 1e-12 of a 40-digit reference (the Cholesky-reduced
-    values alone erred by 3.2e-8, 1.5e-10 and 2.4e-11)."""
+    """Off a solution, where mu_2^+ comes from QZ, it stays within 1e-12 of a 40-digit
+    reference: within 1e-6 lambda_1 of 0, where A = Lambda - lambda M_g is nearly
+    singular (Cholesky-reduced values alone erred there by 3.2e-8, 1.5e-10 and
+    2.4e-11), and at 0.3 and 0.9 lambda_1."""
     g = sign_changing_disk_weight(disk16)
     w = 0.2 + 0.1 * np.cos(disk16.nodes)
     lam1 = principal_eigenvalue(disk16, g).value
-    for factor in (1e-9, 1e-8, 1e-6):
+    for factor in (1e-9, 1e-8, 1e-6, 0.3, 0.9):
         lam = factor * lam1
         mus = _mp_disk_eigenvalues(disk16, lam * g, g * w)
         exact = [mu for mu in mus if mu > 1e-12][1]
