@@ -284,11 +284,11 @@ def cmd_probe(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, boo
             "lambda": float(lam), "n_inits": report.n_inits,
             "findings": [{"trace": pt.w, "sup_norm": pt.sup_norm,
                           "residual": pt.residual} for pt in report.findings],
-            "failures": report.failures,
+            "failures": report.failures, "joined": report.joined,
         })
         if verbose:
             print(f"lambda={_fmt(lam)}: {len(report.findings)} findings, "
-                  f"failures={report.failures}")
+                  f"{report.joined} joined, failures={report.failures}")
     verdict = {"all_empty": all(not r["findings"] for r in records)}
     return {"lambda1": lam1, "probes": records, "verdict": verdict}, False
 

@@ -61,8 +61,15 @@ def make_point(spec: ProblemSpec, lam: float, w, with_gamma1: bool = True,
 
 
 def newton_solve(spec: ProblemSpec, lam: float, init, *,
-                 tol: float = NEWTON_TOL, with_gamma1: bool = True) -> SolutionPoint:
+                 tol: float = NEWTON_TOL, with_gamma1: bool = True,
+                 known=()) -> SolutionPoint:
     """Damped Newton on the boundary-reduced residual from a positive init.
+
+    ``known`` holds (point, r) balls, r from ``_unique_solution_radius``: at
+    the init and after each accepted step, an iterate w with
+    |w - point.w|_inf <= r returns that point as given, with no further
+    Jacobian, since the ball holds no solution but that point's (there the
+    simplified Newton map contracts by 1/4).
 
     Steps are halved (up to 30 times) until the iterate stays in the positive
     cone and the residual falls; LeftPositiveCone when no halving does.  Each
@@ -109,6 +116,9 @@ def newton_solve(spec: ProblemSpec, lam: float, init, *,
     res_norm = math.sqrt(res @ res)
     solve = None  # an earlier iterate's Jacobian solver, kept after a damped step
     for _ in range(_MAX_NEWTON):
+        for point, radius in known:
+            if np.abs(w - point.w).max() <= radius:
+                return point
         if res_norm < tol * (1.0 + float(abs(w).max()) ** spec.p):
             return make_point(spec, lam, w, with_gamma1)
         moved = None
@@ -125,6 +135,52 @@ def newton_solve(spec: ProblemSpec, lam: float, init, *,
         if plain_full:
             solve = None
     raise MaxIterations(f"Newton stalled at residual {res_norm}")
+
+
+def _unique_solution_radius(spec: ProblemSpec, lam: float, centre: np.ndarray) -> float:
+    """Radius r of the sup-norm ball about ``centre`` that holds exactly one
+    solution of F = 0, by the contraction-mapping form of Newton-Kantorovich
+    (Ortega & Rheinboldt 1970, 12.4; radii polynomials as in Day, Lessard &
+    Mischaikow 2007); 0 when the Jacobian J at the centre is singular to
+    working precision, K |J|_inf >= 1/eps or no finite inverse, since K then
+    has no correct digit (about w = 0 on disks of m = 64 to 256, K |J|_inf eps
+    measured 15 to 1.7e3 at lambda_1 and below 1e-4 at (1 - 1e-8) lambda_1).
+
+    With J = F'(c), K = |J^-1|_inf, hq = max|q h| and N(w) = q h |w|^(p-1) w,
+    T(v) = v - J^-1 F(v) has T(u) - T(v) = J^-1 (N(u) - N(v) - N'(c)(u - v)),
+    whose i-th entry inside the ball is at most
+    p hq omega(r) |u - v|_inf, omega(r) bounding ||c_i + t|^(p-1) - |c_i|^(p-1)|
+    for |t| <= r: r^(p-1) at c = 0 or for p <= 2, (p - 1)(|c|_inf + r)^(p-2) r
+    for p > 2.  r is the largest radius with p hq K omega(r) <= 1/4, so T
+    contracts by 1/4 there, and |J^-1 F(c)|_inf <= 3r/4 (else r = 0) makes T
+    map the ball into itself.
+    """
+    jac = residual_jacobian(spec, lam, centre)
+    try:
+        inverse = np.linalg.inv(jac)
+    except np.linalg.LinAlgError:
+        return 0.0
+    k = np.abs(inverse).sum(axis=1).max()
+    if not k * np.abs(jac).sum(axis=1).max() < 1.0 / np.finfo(float).eps:
+        return 0.0
+    p = spec.p
+    hq = np.abs(spec.domain.weights * spec.superlinear_weight).max()
+    beta = 0.25 / (p * hq * k)
+    sup = float(np.abs(centre).max())
+    if sup == 0.0 or p <= 2.0:
+        radius = float(beta ** (1.0 / (p - 1.0)))
+    else:
+        # (p - 1)(sup + r)^(p - 2) r rises from 0 and reaches beta below hi
+        lo, hi = 0.0, float(beta / ((p - 1.0) * sup ** (p - 2.0)))
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if (p - 1.0) * (sup + mid) ** (p - 2.0) * mid <= beta:
+                lo = mid
+            else:
+                hi = mid
+        radius = lo
+    step = float(np.abs(inverse @ residual_vector(spec, lam, centre)).max())
+    return radius if step <= 0.75 * radius else 0.0
 
 
 def _fresh_step(spec: ProblemSpec, lam: float, w: np.ndarray, res: np.ndarray):
@@ -309,6 +365,7 @@ class ProbeReport:
     seed: int
     findings: list = field(default_factory=list)  # converged positive SolutionPoints
     failures: dict = field(default_factory=dict)  # failure-mode -> count
+    joined: int = 0  # runs that ended on an earlier finding
 
 
 # Probe runs solve deeper than the default so that iterates collapsing onto
@@ -331,10 +388,24 @@ def nonexistence_probe(spec: ProblemSpec, lam: float, n_inits: int, seed: int, *
     within 1e-6 (1 + sup) of an earlier finding is polished by
     ``_polish_candidate`` and counted as ``collapsed-to-zero`` when the
     polish takes it to ``_PROBE_MIN_AMPLITUDE`` or below.
+
+    Each run is passed the one-solution balls of ``_unique_solution_radius``
+    (the simplified Newton map contracts by 1/4 in each) around w = 0 and
+    around each finding, and stops on entering one: in the ball about w = 0
+    it counts as ``collapsed-to-zero``, in a finding's ball it is ``joined``.
+    At lambda_1, where L = Lambda - lambda M_g is singular, the radius about
+    w = 0 is 0 and no ball is passed, so that degenerate zero is left to
+    the polish.
+    Every init is counted once:
+    len(findings) + joined + sum(failures.values()) == n_inits.
     """
     rng = np.random.default_rng(seed)
     findings: list[SolutionPoint] = []
     failures: dict[str, int] = {}
+    joined = 0
+    zero = make_point(spec, lam, np.zeros(spec.domain.m), with_gamma1=False)
+    radius = _unique_solution_radius(spec, lam, zero.w)
+    balls = [(zero, radius)] if radius > 0.0 else []
 
     def count(mode: str):
         failures[mode] = failures.get(mode, 0) + 1
@@ -346,9 +417,11 @@ def nonexistence_probe(spec: ProblemSpec, lam: float, n_inits: int, seed: int, *
     for _ in range(n_inits):
         init = amplitude * rng.uniform(0.05, 1.0, spec.domain.m)
         try:
-            point = newton_solve(spec, lam, init, tol=_PROBE_TOL, with_gamma1=False)
+            point = newton_solve(spec, lam, init, tol=_PROBE_TOL, with_gamma1=False,
+                                 known=balls)
             if point.positive and point.sup_norm > _PROBE_MIN_AMPLITUDE:
                 if known(point):
+                    joined += 1
                     continue
                 point = _polish_candidate(spec, lam, point.w)
         except (LeftPositiveCone, SingularJacobian, MaxIterations) as exc:
@@ -356,9 +429,12 @@ def nonexistence_probe(spec: ProblemSpec, lam: float, n_inits: int, seed: int, *
             continue
         if not (point.positive and point.sup_norm > _PROBE_MIN_AMPLITUDE):
             count("collapsed-to-zero")
-        elif not known(point):
+        elif known(point):
+            joined += 1
+        else:
             findings.append(point)
-    return ProbeReport(lam, n_inits, seed, findings, failures)
+            balls.append((point, _unique_solution_radius(spec, lam, point.w)))
+    return ProbeReport(lam, n_inits, seed, findings, failures, joined)
 
 
 def _polish_candidate(spec: ProblemSpec, lam: float, w: np.ndarray) -> SolutionPoint:

@@ -94,6 +94,9 @@ def test_solve_probe_and_asympt_verdicts(tmp_path):
     assert main(["probe", "--config", cfg, "--out", str(tmp_path)]) == 0
     probe = json.loads((tmp_path / "probe.json").read_text())
     assert probe["verdict"]["all_empty"]
+    for rec in probe["probes"]:
+        assert len(rec["findings"]) + rec["joined"] + sum(rec["failures"].values()) \
+            == rec["n_inits"]
 
     asympt_ini = INTERVAL_INI.replace("0.05, 0.7", "0.001, 0.1")
     cfg2 = _write(tmp_path, asympt_ini, "asympt.ini")

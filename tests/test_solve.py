@@ -170,14 +170,18 @@ def test_probe_report_is_seed_deterministic(interval):
     assert len(a.findings) == len(b.findings)
 
 
-def _plain_newton(spec, lam, init, *, tol=NEWTON_TOL, with_gamma1=True):
-    """Damped Newton with a fresh dense solve every iteration, no factor reuse."""
+def _plain_newton(spec, lam, init, *, tol=NEWTON_TOL, with_gamma1=True, known=()):
+    """Damped Newton with a fresh dense solve every iteration, no factor reuse;
+    it stops in a ``known`` ball as newton_solve does."""
     w = np.asarray(init, dtype=float).copy()
     if np.min(w) <= 0.0:
         raise LeftPositiveCone("initial trace must be strictly positive")
     res = residual_vector(spec, lam, w)
     res_norm = float(np.linalg.norm(res))
     for _ in range(200):
+        for point, radius in known:
+            if np.max(np.abs(w - point.w)) <= radius:
+                return point
         if res_norm < tol * (1.0 + float(np.max(np.abs(w))) ** spec.p):
             return make_point(spec, lam, w, with_gamma1)
         try:
@@ -218,7 +222,8 @@ def test_probe_matches_plain_newton_reference(interval, monkeypatch):
     """Reusing factors after damped steps and over-relaxing steps on the kernel
     ray change no probe outcome: 32-init probes at 0.5, 1 and 1.5 lambda_1, and
     on the m = 16 disk at (1 - delta) lambda_1 next to the degenerate zero, give
-    the failure counts and findings of plain damped Newton."""
+    the failure counts and findings of plain damped Newton stopped in the same
+    one-solution balls."""
     cases = [(interval, G_1D)]
     for m in (64, 128):
         dom = build_domain("unit-disk", m)
@@ -337,12 +342,13 @@ def test_probe_reuses_factorizations(monkeypatch):
     """Jacobians and residuals per init of a 32-init probe on the m = 128 disk,
     counted through indefbc.solve's residual_jacobian and residual_vector.
 
-    Jacobians: at most 9 at 0.5 and 1.5 lambda_1 (8.28 and 8.03; 14.1 and 17.2
-    without reuse), and at most 11 at lambda_1, where the steps are over-relaxed
-    on the kernel ray (9.84; 21.9 by plain Newton).  Residuals: at most 14, 14
-    and 15 at 0.5, 1 and 1.5 lambda_1 (11.44, 12.94 and 13.72; 16.88, 13.16 and
-    18.81 when a collapse onto the nondegenerate zero was only halved).  Each
-    init assembles at least one Jacobian."""
+    Jacobians: at most 6 and 5.5 at 0.5 and 1.5 lambda_1 (5.69 and 4.94; 8.28
+    and 8.03 without the one-solution balls, 14.1 and 17.2 without reuse), and
+    at most 11 at lambda_1, where the steps are over-relaxed on the kernel ray
+    (9.88; 21.9 by plain Newton).  Residuals: at most 8, 14 and 7 at 0.5, 1
+    and 1.5 lambda_1 (7.50, 12.97 and 6.47; 11.44, 12.94 and 13.72 without
+    the balls).  Each init assembles at least one Jacobian, and each is
+    counted once, as a finding, a run that joined one, or a failure."""
     dom = build_domain("unit-disk", 128)
     g = sign_changing_disk_weight(dom)
     spec = ProblemSpec(dom, 2.0, g)
@@ -359,13 +365,54 @@ def test_probe_reuses_factorizations(monkeypatch):
 
     monkeypatch.setattr(indefbc.solve, "residual_jacobian", counted_jacobian)
     monkeypatch.setattr(indefbc.solve, "residual_vector", counted_residual)
-    for factor, most_jac, most_res in ((0.5, 9.0, 14.0), (1.0, 11.0, 14.0),
-                                       (1.5, 9.0, 15.0)):
+    for factor, most_jac, most_res in ((0.5, 6.0, 8.0), (1.0, 11.0, 14.0),
+                                       (1.5, 5.5, 7.0)):
         jacobians.clear()
         residuals.clear()
-        nonexistence_probe(spec, factor * lam1, 32, seed=4)
+        report = nonexistence_probe(spec, factor * lam1, 32, seed=4)
         assert 1.0 <= len(jacobians) / 32 <= most_jac
         assert len(residuals) / 32 <= most_res
+        assert len(report.findings) + report.joined + sum(report.failures.values()) == 32
+
+
+def test_one_solution_ball_contracts(interval):
+    """In the ball of _unique_solution_radius about w = 0 (0.5 and 1.5 lambda_1)
+    and about the probe's finding (0.5 lambda_1) on the m = 64 disk, p = 1.5,
+    2 and 3, the simplified Newton map T(v) = v - F'(c)^-1 F(v) contracts by
+    1/4 on 200 seeded pairs, and moves the centre by at most 3/4 of the
+    radius.  At lambda_1 the radius about w = 0 is 0: on
+    the interval, where Lambda - lambda M_g is exactly singular, and on the
+    disk, where it is singular to working precision."""
+    dom = build_domain("unit-disk", 64)
+    g = sign_changing_disk_weight(dom)
+    lam1 = principal_eigenvalue(dom, g).value
+    radius_of = indefbc.solve._unique_solution_radius
+    rng = np.random.default_rng(11)
+    for p in (1.5, 2.0, 3.0):
+        spec = ProblemSpec(dom, p, g)
+        assert radius_of(spec, lam1, np.zeros(dom.m)) == 0.0
+        centres = [(0.5, np.zeros(dom.m)), (1.5, np.zeros(dom.m))]
+        found = nonexistence_probe(spec, 0.5 * lam1, 8, seed=1).findings
+        assert len(found) == 1
+        centres.append((0.5, found[0].w))
+        for factor, c in centres:
+            lam = factor * lam1
+            r = radius_of(spec, lam, c)
+            assert r > 0.0
+            inverse = np.linalg.inv(residual_jacobian(spec, lam, c))
+
+            def simplified(v):
+                return v - inverse @ residual_vector(spec, lam, v)
+
+            assert np.max(np.abs(simplified(c) - c)) <= 0.75 * r
+            for _ in range(200):
+                u, v = c + r * rng.uniform(-1.0, 1.0, (2, dom.m))
+                gap = np.max(np.abs(u - v))
+                moved = np.max(np.abs(simplified(u) - simplified(v)))
+                assert moved <= 0.25 * gap * (1.0 + 1e-12)
+    lam1 = (G_1D[0] + G_1D[1]) / (G_1D[0] * G_1D[1])
+    spec = ProblemSpec(interval, 2.0, G_1D)
+    assert radius_of(spec, lam1, np.zeros(2)) == 0.0
 
 
 def test_jacobian_is_fortran_ordered_dtn_minus_diagonal(interval):
