@@ -101,11 +101,6 @@ def cmd_eig(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bool]
     if nonnegative_integral(domain, spec.g):
         notes.append("weight has nonnegative boundary integral; "
                      "the principal eigenvalue is 0 with constant eigenfunction")
-    closed_form = None
-    if domain.kind == INTERVAL:
-        g0, g1 = float(spec.g[0]), float(spec.g[1])
-        if g0 * g1 < 0.0 and g0 + g1 < 0.0:
-            closed_form = (g0 + g1) / (g0 * g1)
     grid = set(_lam_grid(config)) | {0.0}
     if not any(near_lambda1(lam, lam1) for lam in grid):
         grid.add(lam1)
@@ -114,15 +109,11 @@ def cmd_eig(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bool]
         value = sigma1(domain, spec.g, float(lam)).value
         rows.append({"lambda": float(lam), "sigma1": value})
     print(f"lambda1 = {_fmt(lam1)}")
-    if closed_form is not None:
-        print(f"closed-form (g0+g1)/(g0*g1) = {_fmt(closed_form)} "
-              f"(|diff| = {_fmt(abs(closed_form - lam1))})")
     for note in notes:
         print(f"note: {note}")
     for row in rows:
         print(f"sigma1({_fmt(row['lambda'])}) = {_fmt(row['sigma1'])}")
-    return {"lambda1": lam1, "closed_form_1d": closed_form,
-            "sigma1_rows": rows, "notes": notes}, False
+    return {"lambda1": lam1, "sigma1_rows": rows, "notes": notes}, False
 
 
 def cmd_solve(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bool]:
@@ -181,7 +172,7 @@ def cmd_branch(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bo
         print(f"{len(branch.points)} points, lambda1={_fmt(lam1)}, "
               f"range={branch.lam_range}, stopped at {branch.termination}")
     return {"lambda1": lam1, "n_points": len(branch.points),
-            "lam_range": list(branch.lam_range), "direction": branch.direction,
+            "lam_range": list(branch.lam_range),
             "termination": branch.termination}, branch.termination == "step-underflow"
 
 

@@ -113,12 +113,6 @@ def _parse_floats(text: str, label: str):
     return [_number(v, label) for v in text.replace(",", " ").split()]
 
 
-def _get(parser, section, key, default=None):
-    if parser.has_option(section, key):
-        return parser.get(section, key)
-    return default
-
-
 def config_from_dict(raw: dict) -> RunConfig:
     """Validate a {section: {key: value}} mapping into a RunConfig."""
     parser = configparser.ConfigParser()
@@ -127,16 +121,16 @@ def config_from_dict(raw: dict) -> RunConfig:
     except (configparser.Error, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     try:
-        kind = _get(parser, "domain", "kind", INTERVAL)
-        m = int(_get(parser, "domain", "m", "2"))
-        p = _number(_get(parser, "problem", "p", "2.0"), "p")
-        form = _get(parser, "problem", "form", W_FORM)
-        window = _parse_floats(_get(parser, "lambda", "window", "0.001, 0.1"), "window")
-        samples = int(_get(parser, "lambda", "samples", "5"))
-        deltas = tuple(_parse_floats(_get(parser, "sweep", "deltas", ""), "deltas"))
-        seed = int(_get(parser, "run", "seed", "0"))
-        out_dir = _get(parser, "run", "out_dir", ".")
-        n_inits = int(_get(parser, "run", "n_inits", "64"))
+        kind = parser.get("domain", "kind", fallback=INTERVAL)
+        m = int(parser.get("domain", "m", fallback="2"))
+        p = _number(parser.get("problem", "p", fallback="2.0"), "p")
+        form = parser.get("problem", "form", fallback=W_FORM)
+        window = _parse_floats(parser.get("lambda", "window", fallback="0.001, 0.1"), "window")
+        samples = int(parser.get("lambda", "samples", fallback="5"))
+        deltas = tuple(_parse_floats(parser.get("sweep", "deltas", fallback=""), "deltas"))
+        seed = int(parser.get("run", "seed", fallback="0"))
+        out_dir = parser.get("run", "out_dir", fallback=".")
+        n_inits = int(parser.get("run", "n_inits", fallback="64"))
     except (ValueError, configparser.Error) as exc:
         raise ConfigError(str(exc)) from exc
     try:

@@ -57,7 +57,6 @@ class Branch:
     points: list
     bifurcation_lambda: float
     tangent: np.ndarray = field(repr=False)  # phi_1(g), H1-normalized
-    direction: str  # "subcritical" | "supercritical"
     # why continue_branch stopped: "lam-floor" (past LAM_FLOOR_FACTOR * lambda_1),
     # "blow-up" (past SUP_CEILING), "step-underflow" (no step of at least DS_MIN
     # accepted) or "max-points"; None for a Branch built by hand
@@ -232,8 +231,7 @@ def continue_branch(spec: ProblemSpec, *, with_gamma1: bool = True) -> Branch:
             termination = "blow-up"
             break
 
-    direction = "subcritical" if points[0].lam < lam1 else "supercritical"
-    return Branch(spec, points, lam1, phi1, direction, termination)
+    return Branch(spec, points, lam1, phi1, termination)
 
 
 @dataclass(frozen=True)
@@ -246,9 +244,10 @@ class TransformedPoint:
     sup_norm: float
 
 
-def to_sppr(branch: Branch, p: float) -> list:
+def to_sppr(branch: Branch) -> list:
     """Map w-branch points to v = lambda^(-1/(p-1)) w solving the sppr form."""
     spec = branch.spec
+    p = spec.p
     out = []
     for point in branch.points:
         if point.lam <= 0.0:

@@ -235,7 +235,6 @@ class SweepResult:
     c_delta: float          # lower estimate of the branch-sup bound C_delta
     m_delta: float          # min mu_2^+ along the branch; +inf when absent
     uniqueness_count: int   # max distinct positive solutions over lambda samples
-    branch: Branch | None = field(repr=False, default=None)  # points carry no gamma_1
     error: str | None = None
 
 
@@ -264,10 +263,10 @@ def delta_sweep(domain: Domain, g, delta_list, p: float, *,
                 count = max(count, len(found))
                 c_delta = max([c_delta] + [pt.sup_norm for pt in found])
             md = m_delta(branch)
-            results.append(SweepResult(delta, lam1, c_delta, md, count, branch))
+            results.append(SweepResult(delta, lam1, c_delta, md, count))
         except IndefbcError as exc:
             results.append(SweepResult(delta, math.nan, math.nan, math.nan, -1,
-                                       None, f"{type(exc).__name__}: {exc}"))
+                                       f"{type(exc).__name__}: {exc}"))
     return results
 
 

@@ -31,7 +31,7 @@ _MAX_DESCENT = 50_000
 # Forcing term of the inexact Newton step taken on kept factors: the step is
 # used when its linear residual is at most this fraction of |F|.
 _REUSE_ETA = 1e-4
-# The two ray signatures of a Newton step and the least fraction of w that
+# The kernel-ray signature of a Newton step and the least fraction of w that
 # its over-relaxed step keeps (newton_solve).
 _RAY_RATIO_TOL = 1e-3
 _RAY_COS_TOL = 1e-6
@@ -84,26 +84,20 @@ def newton_solve(spec: ProblemSpec, lam: float, init, *,
     (alpha = 1 on the unscaled step), when that test fails, and when the
     reused step is non-finite or cannot be damped; only a fresh step raises.
 
-    A step d (fresh or on kept factors) along w toward the trivial zero is
-    over-relaxed by ``_kernel_ray_scale``.  With L = Lambda - lambda M_g,
-    F(w) = L w - N(w), N(w) = Q h |w|^(p-1) w, and F'(w) w = L w - p N(w)
-    for the p-homogeneous N, so exactly
-    p d - w = (p - 1) F'(w)^-1 L w  and  d - w = (p - 1) F'(w)^-1 N(w).
-    - Where L w is negligible (w near the degenerate zero along phi_1 at
-      lambda_1, where each plain step removes only 1/p of w) the signature
-      |p |d|/|w| - 1| < 1e-3, cos(d, w) > 1 - 1e-6 holds, and p (1 - kappa) d
-      is damped in place of d, which lands at kappa w along the ray.
-      kappa = max(1e-3, 2 (p r+ / (p - 1))^(1/(p-1))), r = 1 - p (w.d)/(w.w),
-      is twice the ratio of the small positive solution that the
-      one-dimensional reduction predicts to |w| (r+ = 0 above lambda_1), so
-      the step never jumps below that solution; the step stays plain when
-      kappa >= 1 - 1/p.
-    - Where N(w) is negligible (w near a nondegenerate zero, L invertible)
-      d is nearly w, the full step lands at -(p - 1) F'(w)^-1 N(w) and leaves
-      the cone, and plain damping only halves w per step.  There the
-      signature ||d|/|w| - 1| < 1e-3, cos(d, w) > 1 - 1e-6 holds, and
-      (1 - kappa) (w.w)/(w.d) d, kappa = 1e-3, is damped in place of d,
-      which lands at kappa w.
+    A step d (fresh or on kept factors) along the kernel ray toward the
+    degenerate zero at lambda_1 is over-relaxed by ``_kernel_ray_scale``.
+    With L = Lambda - lambda M_g, F(w) = L w - N(w), N(w) = Q h |w|^(p-1) w,
+    and F'(w) w = L w - p N(w) for the p-homogeneous N, so exactly
+    p d - w = (p - 1) F'(w)^-1 L w.  Where L w is negligible (w near the
+    degenerate zero along phi_1, where each plain step removes only 1/p of w)
+    the signature |p |d|/|w| - 1| < 1e-3, cos(d, w) > 1 - 1e-6 holds, and
+    p (1 - kappa) d is damped in place of d, which lands at kappa w along the
+    ray.  kappa = max(1e-3, 2 (p r+ / (p - 1))^(1/(p-1))),
+    r = 1 - p (w.d)/(w.w), is twice the ratio of the small positive solution
+    that the one-dimensional reduction predicts to |w| (r+ = 0 above
+    lambda_1), so the step never jumps below that solution; the step stays
+    plain when kappa >= 1 - 1/p.  Near a nondegenerate zero no step is
+    over-relaxed: the ball about w = 0 in ``known`` stops that collapse.
     The plain step is damped when the over-relaxed one cannot be.  Factors
     are kept after an over-relaxed step as after a damped one.  The
     convergence test alone decides.
@@ -218,21 +212,15 @@ def _relaxed_step(spec: ProblemSpec, lam: float, w: np.ndarray, step: np.ndarray
 
 
 def _kernel_ray_scale(p: float, w: np.ndarray, step: np.ndarray) -> float | None:
-    """The factor that over-relaxes a Newton step with one of the two ray
-    signatures of ``newton_solve``, else None: p (1 - kappa) on the kernel ray
-    at lambda_1 when kappa < 1 - 1/p, and (1 - _RAY_KAPPA_MIN) (w.w)/(w.d)
-    toward a nondegenerate zero."""
+    """The factor p (1 - kappa) that over-relaxes a Newton step with the
+    kernel-ray signature of ``newton_solve`` when kappa < 1 - 1/p, else None."""
     ww, dd, wd = float(w @ w), float(step @ step), float(w @ step)
-    if not wd > (1.0 - _RAY_COS_TOL) * math.sqrt(ww * dd):
+    if not (wd > (1.0 - _RAY_COS_TOL) * math.sqrt(ww * dd)
+            and abs(p * math.sqrt(dd / ww) - 1.0) < _RAY_RATIO_TOL):
         return None
-    ratio = math.sqrt(dd / ww)
-    if abs(p * ratio - 1.0) < _RAY_RATIO_TOL:
-        r = max(1.0 - p * wd / ww, 0.0)
-        kappa = max(_RAY_KAPPA_MIN, 2.0 * (p * r / (p - 1.0)) ** (1.0 / (p - 1.0)))
-        return p * (1.0 - kappa) if kappa < 1.0 - 1.0 / p else None
-    if abs(ratio - 1.0) < _RAY_RATIO_TOL:
-        return (1.0 - _RAY_KAPPA_MIN) * ww / wd
-    return None
+    r = max(1.0 - p * wd / ww, 0.0)
+    kappa = max(_RAY_KAPPA_MIN, 2.0 * (p * r / (p - 1.0)) ** (1.0 / (p - 1.0)))
+    return p * (1.0 - kappa) if kappa < 1.0 - 1.0 / p else None
 
 
 def _jacobian_solver(jac: np.ndarray, w: np.ndarray):
@@ -438,7 +426,7 @@ def nonexistence_probe(spec: ProblemSpec, lam: float, n_inits: int, seed: int, *
 
 
 def _polish_candidate(spec: ProblemSpec, lam: float, w: np.ndarray) -> SolutionPoint:
-    """Fresh Newton steps (over-relaxed along w, as in ``newton_solve``)
+    """Fresh Newton steps (over-relaxed on the kernel ray, as in ``newton_solve``)
     from a converged trace until the step is at most _POLISH_STEP_TOL |w|.
 
     At a true solution that takes one or two steps.  An iterate collapsing

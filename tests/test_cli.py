@@ -55,7 +55,6 @@ def test_eig_reports_principal_eigenvalue_and_sign_law(tmp_path, capsys):
     assert main(["eig", "--config", cfg, "--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "eig.json").read_text())
     assert payload["lambda1"] == pytest.approx(0.75)
-    assert payload["closed_form_1d"] == pytest.approx(0.75)
     rows = {row["lambda"]: row["sigma1"] for row in payload["sigma1_rows"]}
     assert abs(rows[0.0]) < 1e-10
     assert abs(rows[0.75]) < 1e-8

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -112,10 +114,8 @@ def test_seeding_survives_near_threshold_weight():
 def test_sppr_transform_solves_rescaled_equation(interval):
     spec = ProblemSpec(interval, 2.0, G_1D)
     branch = continue_branch(spec)
-    pos_branch = type(branch)(spec, [pt for pt in branch.points if pt.lam > 0],
-                              branch.bifurcation_lambda, branch.tangent,
-                              branch.direction)
-    for tp in to_sppr(pos_branch, 2.0):
+    pos_branch = dataclasses.replace(branch, points=[pt for pt in branch.points if pt.lam > 0])
+    for tp in to_sppr(pos_branch):
         assert tp.residual < 1e-9 * (1.0 + tp.sup_norm ** 2)
 
 
@@ -129,9 +129,8 @@ def test_sppr_transform_weighs_v_to_the_p_by_f(disk32):
     stop = next(i for i, pt in enumerate(branch.points) if pt.lam < 1e-2)
     positive = [pt for pt in branch.points[:stop + 1] if pt.lam > 0.0]
     assert len(positive) >= 10 and min(pt.lam for pt in positive) < 1e-2
-    pos_branch = type(branch)(spec, positive, branch.bifurcation_lambda, branch.tangent,
-                              branch.direction)
-    for tp in to_sppr(pos_branch, spec.p):
+    pos_branch = dataclasses.replace(branch, points=positive)
+    for tp in to_sppr(pos_branch):
         assert tp.residual <= 1e-8
 
 
@@ -150,16 +149,14 @@ def test_sppr_transform_rejects_nonpositive_lambda(interval):
     branch = continue_branch(spec)  # extends slightly past lambda = 0
     assert branch.lam_range[0] < 0.0
     with pytest.raises(NonpositiveLambdaPoint):
-        to_sppr(branch, 2.0)
+        to_sppr(branch)
 
 
 def test_logistic_transform_gives_states_above_one(interval):
     r = np.array([-1.0, 4.0])
     spec = logistic_spec(interval, r)
     branch = continue_branch(spec)
-    pos_branch = type(branch)(spec, [pt for pt in branch.points if pt.lam > 0],
-                              branch.bifurcation_lambda, branch.tangent,
-                              branch.direction)
+    pos_branch = dataclasses.replace(branch, points=[pt for pt in branch.points if pt.lam > 0])
     for tp in to_logistic(pos_branch, r):
         assert float(np.min(tp.trace)) > 1.0
         assert tp.residual < 1e-8 * (1.0 + tp.sup_norm ** 2)
@@ -179,7 +176,7 @@ def test_step_options_control_termination(interval, monkeypatch):
     monkeypatch.setattr(indefbc.continuation, "MAX_POINTS", 6)
     short = continue_branch(spec)
     assert len(short.points) <= 6
-    assert short.direction == "subcritical"
+    assert short.points[0].lam < short.bifurcation_lambda
 
 
 def test_branch_records_why_it_stopped(interval, monkeypatch):

@@ -295,45 +295,47 @@ def test_newton_collapses_fast_at_the_degenerate_zero(monkeypatch):
 
 
 def test_newton_collapses_fast_at_the_nondegenerate_zero(monkeypatch):
-    """From w = 1e-2 phi_1 at 0.5 lambda_1 on the m = 64 disk, where the full
-    step overshoots the trivial zero and plain Newton only halves w per step,
-    newton_solve reaches it with at most half of plain Newton's residuals
-    (11 against 35)."""
+    """From w = 1e-2 phi_1 at 0.5 and 1.5 lambda_1 on the m = 64 disk, where
+    the full step overshoots the trivial zero and plain Newton only halves w
+    per step, newton_solve given the one-solution ball about w = 0 returns
+    that ball's point within 2 Jacobians."""
     dom = build_domain("unit-disk", 64)
     g = sign_changing_disk_weight(dom)
     pair = principal_eigenvalue(dom, g)
     spec = ProblemSpec(dom, 2.0, g)
-    lam = 0.5 * pair.value
     init = 1e-2 * np.abs(pair.eigenfunction.values)
     calls = []
-    residual = residual_vector
+    jacobian = residual_jacobian
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return residual(*args, **kwargs)
+        return jacobian(*args, **kwargs)
 
-    monkeypatch.setattr(indefbc.solve, "residual_vector", counted)
-    point = newton_solve(spec, lam, init, tol=1e-13, with_gamma1=False)
-    fast = len(calls)
-    monkeypatch.setitem(_plain_newton.__globals__, "residual_vector", counted)
-    calls.clear()
-    plain = _plain_newton(spec, lam, init, tol=1e-13, with_gamma1=False)
-    assert point.sup_norm < 1e-6 and plain.sup_norm < 1e-6
-    assert 1 <= fast <= 0.5 * len(calls)
+    for factor in (0.5, 1.5):
+        lam = factor * pair.value
+        zero = make_point(spec, lam, np.zeros(dom.m), with_gamma1=False)
+        radius = indefbc.solve._unique_solution_radius(spec, lam, zero.w)
+        assert radius > 0.0
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(indefbc.solve, "residual_jacobian", counted)
+            point = newton_solve(spec, lam, init, tol=1e-13, with_gamma1=False,
+                                 known=[(zero, radius)])
+        assert point is zero
+        assert 1 <= len(calls) <= 2
 
 
 def test_kernel_ray_scale_signatures():
-    """The over-relaxation factor of a step d: none off the ray or for a true
-    solution's tiny step along w; (1 - 1e-3)(w.w)/(w.d) for d near w (the
-    nondegenerate zero); p (1 - 1e-3) for d = w/p (the degenerate zero at
-    lambda_1, where r = 0)."""
+    """The over-relaxation factor of a step d: none off the ray, for a true
+    solution's tiny step along w, or for d near w (the nondegenerate zero,
+    which the ball about w = 0 handles); p (1 - 1e-3) for d = w/p (the
+    degenerate zero at lambda_1, where r = 0)."""
     scale = indefbc.solve._kernel_ray_scale
     w = np.linspace(0.5, 1.5, 64)
     tilt = np.cos(np.linspace(0.0, math.pi, 64))
     assert scale(2.0, w, w + 1e-1 * tilt) is None
     assert scale(2.0, w, 1e-3 * w) is None
-    d = (1.0 + 1e-5) * w
-    assert scale(2.0, w, d) == pytest.approx((1.0 - 1e-3) * (w @ w) / (w @ d), rel=1e-15)
+    assert scale(2.0, w, (1.0 + 1e-5) * w) is None
     for p in (1.5, 2.0, 3.0):
         assert scale(p, w, w / p) == pytest.approx(p * (1.0 - 1e-3), rel=1e-15)
 
