@@ -92,13 +92,11 @@ def _mu2_plus(spec, point, lam1: float, guess):
 
 
 def cmd_eig(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bool]:
-    domain = config.domain
-    spec = config.build_spec(domain)
+    domain, g = config.spec.domain, config.spec.g
     rows = []
     notes = []
-    pair = principal_eigenvalue(domain, spec.g)
-    lam1 = pair.value
-    if nonnegative_integral(domain, spec.g):
+    lam1 = principal_eigenvalue(domain, g).value
+    if nonnegative_integral(domain, g):
         notes.append("weight has nonnegative boundary integral; "
                      "the principal eigenvalue is 0 with constant eigenfunction")
     grid = set(_lam_grid(config)) | {0.0}
@@ -106,7 +104,7 @@ def cmd_eig(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bool]
         grid.add(lam1)
     grid = sorted(grid)
     for lam in grid:
-        value = sigma1(domain, spec.g, float(lam)).value
+        value = sigma1(domain, g, float(lam)).value
         rows.append({"lambda": float(lam), "sigma1": value})
     print(f"lambda1 = {_fmt(lam1)}")
     for note in notes:
@@ -117,8 +115,7 @@ def cmd_eig(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bool]
 
 
 def cmd_solve(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bool]:
-    domain = config.domain
-    spec = config.build_spec(domain)
+    spec = config.spec
     records = []
     incomplete = False
     for lam in _lam_grid(config):
@@ -142,15 +139,14 @@ def cmd_solve(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, boo
 
 
 def cmd_branch(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bool]:
-    domain = config.domain
-    spec = config.build_spec(domain)
+    spec = config.spec
     branch = continue_branch(spec)
     lam1 = branch.bifurcation_lambda
     lines = [CSV_HEADER]
     diagram = ["lambda,sup_norm"]
     guess = None
     for point in branch.points:
-        l2 = math.sqrt(float(domain.weights @ (point.w * point.w)))
+        l2 = math.sqrt(float(spec.domain.weights @ (point.w * point.w)))
         mu2, guess = _mu2_plus(spec, point, lam1, guess)
         lines.append(",".join([
             _fmt(point.lam), _fmt(point.sup_norm), _fmt(l2),
@@ -177,13 +173,12 @@ def cmd_branch(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bo
 
 
 def cmd_sweep(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bool]:
-    if config.form == F_FORM:
+    spec = config.spec
+    if spec.form == F_FORM:
         raise ConfigError(f"sweep does not support form = {F_FORM}")
-    domain = config.domain
-    spec = config.build_spec(domain)
     if not config.deltas:
         raise ConfigError("[sweep] deltas is required for the sweep command")
-    results = delta_sweep(domain, spec.g, config.deltas, spec.p,
+    results = delta_sweep(spec.domain, spec.g, config.deltas, spec.p,
                           n_lam_samples=config.lam_samples,
                           n_inits=config.n_inits, seed=config.seed)
     records = []
@@ -211,12 +206,11 @@ def cmd_sweep(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, boo
 
 
 def cmd_oracle1d(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bool]:
-    if config.form == F_FORM:
+    spec = config.spec
+    if spec.form == F_FORM:
         raise ConfigError(f"oracle1d does not support form = {F_FORM}")
-    domain = config.domain
-    if domain.kind != INTERVAL:
+    if spec.domain.kind != INTERVAL:
         raise ConfigError("oracle1d requires the interval domain")
-    spec = config.build_spec(domain)
     params = -spec.g if spec.form == LOGISTIC else spec.g  # logistic stores g = -r
     records = []
     incomplete = False
@@ -245,8 +239,7 @@ def cmd_oracle1d(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, 
 
 
 def cmd_asympt(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bool]:
-    domain = config.domain
-    spec = config.build_spec(domain)
+    spec = config.spec
     branch = continue_branch(spec, with_gamma1=False)  # the fit reads no gamma_1
     target = "logistic-u" if spec.form == LOGISTIC else "sppr-v"
     if branch.termination == "step-underflow":  # no fit on a trace that stopped short
@@ -264,9 +257,8 @@ def cmd_asympt(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bo
 
 
 def cmd_probe(config: RunConfig, out_dir: str, verbose: bool) -> tuple[dict, bool]:
-    domain = config.domain
-    spec = config.build_spec(domain)
-    lam1 = principal_eigenvalue(domain, spec.g).value
+    spec = config.spec
+    lam1 = principal_eigenvalue(spec.domain, spec.g).value
     lams = [lam1, 1.1 * lam1, 2.0 * lam1] if lam1 > 0.0 else _lam_grid(config)
     records = []
     for lam in lams:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import INTERVAL, Domain, build_domain
-from .errors import ConfigError, ResolutionTooSmall
+from .errors import ConfigError, ResolutionTooSmall, ShapeMismatch
 from .problem import F_FORM, FORMS, LOGISTIC, W_FORM, ProblemSpec, logistic_spec
 from .weights import trig_weight
 
@@ -24,7 +24,7 @@ _KEYS = {
 
 
 def _weight_keys(kind: str, form: str) -> set:
-    """The [problem] keys that build_weight reads for this domain kind and form."""
+    """The [problem] keys that _build_weight reads for this domain kind and form."""
     names = ("r",) if form == LOGISTIC else ("g", "f") if form == F_FORM else ("g",)
     suffixes = ("",) if kind == INTERVAL else ("_terms", "_plateaus", "_transition_width")
     return {name + suffix for name in names for suffix in suffixes}
@@ -32,12 +32,13 @@ def _weight_keys(kind: str, form: str) -> set:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run settings plus the raw key/value echo."""
+    """Validated run settings plus the raw key/value echo.
 
-    # built from [domain]; equality reads it through raw, as its arrays compare elementwise
-    domain: Domain = field(repr=False, compare=False)
-    p: float
-    form: str
+    ``spec`` is the problem built once from [domain] and [problem], weights
+    included; equality reads it through ``raw``, as its arrays compare elementwise.
+    """
+
+    spec: ProblemSpec = field(repr=False, compare=False)
     lam_window: tuple
     lam_samples: int
     deltas: tuple
@@ -46,52 +47,45 @@ class RunConfig:
     n_inits: int
     raw: dict = field(repr=False)  # {section: {key: value}} as read
 
-    def build_weight(self, domain: Domain, name: str):
-        """Weight named ``name`` from the [problem] section.
 
-        Interval weights are two comma-separated literals; disk weights
-        are "<name>_terms" triples mode:cos:sin joined by ";", with
-        optional "<name>_plateaus" angle intervals lo:hi and a
-        "<name>_transition_width".
-        """
-        section = self.raw.get("problem", {})
-        if domain.kind == INTERVAL:
-            text = section.get(name)
-            if text is None:
-                raise ConfigError(f"[problem] {name} is required for the interval")
-            values = _parse_floats(text, name)
-            if len(values) != domain.m:
-                raise ConfigError(f"{name} needs {domain.m} values, got {len(values)}")
-            return np.array(values)
-        terms_text = section.get(f"{name}_terms")
-        if terms_text is None:
-            raise ConfigError(f"[problem] {name}_terms is required for the disk")
-        terms = []
-        terms_key = f"{name}_terms"
-        for chunk in _split_items(terms_text):
-            parts = chunk.split(":")
-            if len(parts) != 3:
-                raise ConfigError(f"bad term {chunk!r} in {terms_key}")
-            terms.append((_number(parts[0], terms_key, int), _number(parts[1], terms_key),
-                          _number(parts[2], terms_key)))
-        plateaus = []
-        for chunk in _split_items(section.get(f"{name}_plateaus", "")):
-            parts = chunk.split(":")
-            if len(parts) != 2:
-                raise ConfigError(f"bad interval {chunk!r} in {name}_plateaus")
-            plateaus.append(tuple(_number(part, f"{name}_plateaus") for part in parts))
-        width_key = f"{name}_transition_width"
-        width = _number(section.get(width_key, "0.05"), width_key)
-        if not width > 0.0:
-            raise ConfigError(f"{width_key} must be positive, got {width}")
-        return trig_weight(domain, terms, plateaus, width)
+def _build_weight(section: dict, domain: Domain, name: str):
+    """Weight named ``name`` from the [problem] ``section``.
 
-    def build_spec(self, domain: Domain) -> ProblemSpec:
-        if self.form == LOGISTIC:
-            return logistic_spec(domain, self.build_weight(domain, "r"))
-        g = self.build_weight(domain, "g")
-        f = self.build_weight(domain, "f") if self.form == F_FORM else None
-        return ProblemSpec(domain, self.p, g, f, self.form)
+    Interval weights are two comma-separated literals; disk weights
+    are "<name>_terms" triples mode:cos:sin joined by ";", with
+    optional "<name>_plateaus" angle intervals lo:hi and a
+    "<name>_transition_width".
+    """
+    if domain.kind == INTERVAL:
+        text = section.get(name)
+        if text is None:
+            raise ConfigError(f"[problem] {name} is required for the interval")
+        values = _parse_floats(text, name)
+        if len(values) != domain.m:
+            raise ConfigError(f"{name} needs {domain.m} values, got {len(values)}")
+        return np.array(values)
+    terms_text = section.get(f"{name}_terms")
+    if terms_text is None:
+        raise ConfigError(f"[problem] {name}_terms is required for the disk")
+    terms = []
+    terms_key = f"{name}_terms"
+    for chunk in _split_items(terms_text):
+        parts = chunk.split(":")
+        if len(parts) != 3:
+            raise ConfigError(f"bad term {chunk!r} in {terms_key}")
+        terms.append((_number(parts[0], terms_key, int), _number(parts[1], terms_key),
+                      _number(parts[2], terms_key)))
+    plateaus = []
+    for chunk in _split_items(section.get(f"{name}_plateaus", "")):
+        parts = chunk.split(":")
+        if len(parts) != 2:
+            raise ConfigError(f"bad interval {chunk!r} in {name}_plateaus")
+        plateaus.append(tuple(_number(part, f"{name}_plateaus") for part in parts))
+    width_key = f"{name}_transition_width"
+    width = _number(section.get(width_key, "0.05"), width_key)
+    if not width > 0.0:
+        raise ConfigError(f"{width_key} must be positive, got {width}")
+    return trig_weight(domain, terms, plateaus, width)
 
 
 def _split_items(text: str):
@@ -154,8 +148,18 @@ def config_from_dict(raw: dict) -> RunConfig:
     if samples < 1 or n_inits < 1 or seed < 0:
         raise ConfigError("samples, n_inits must be >= 1; seed >= 0")
     echo = {section: dict(parser.items(section)) for section in parser.sections()}
-    return RunConfig(domain, p, form, (window[0], window[1]), samples, deltas,
-                     seed, out_dir, n_inits, echo)
+    problem = echo.get("problem", {})
+    if form == LOGISTIC:
+        spec = logistic_spec(domain, _build_weight(problem, domain, "r"))
+    else:
+        g = _build_weight(problem, domain, "g")
+        f = _build_weight(problem, domain, "f") if form == F_FORM else None
+        try:
+            spec = ProblemSpec(domain, p, g, f, form)
+        except ShapeMismatch as exc:  # p <= 1
+            raise ConfigError(str(exc)) from exc
+    return RunConfig(spec, (window[0], window[1]), samples, deltas, seed, out_dir, n_inits,
+                     echo)
 
 
 def load_config(path: str) -> RunConfig:

@@ -67,12 +67,13 @@ class Branch:
         lams = [p.lam for p in self.points]
         return (min(lams), max(lams))
 
-    def at_lambda(self, lam: float, *, with_gamma1: bool = True) -> SolutionPoint:
-        """Solution at a prescribed lambda, corrected from the nearest point."""
+    def at_lambda(self, lam: float) -> SolutionPoint:
+        """Solution at a prescribed lambda, corrected from the nearest point;
+        its gamma_1 is not computed (nan)."""
         if not self.points:
             raise EmptyBranch("branch has no points")
         nearest = min(self.points, key=lambda p: abs(p.lam - lam))
-        return newton_solve(self.spec, lam, nearest.w, with_gamma1=with_gamma1)
+        return newton_solve(self.spec, lam, nearest.w, with_gamma1=False)
 
 
 def _weighted_dot(m: int, dw1, dl1, dw2, dl2) -> float:

@@ -88,32 +88,20 @@ def _interval_entries(s: float) -> tuple[float, float, float, float]:
     return a, b, da, db
 
 
-def _check_guard(domain: Domain, s: float) -> None:
-    limit = first_dirichlet_eigenvalue(domain)
-    if s > limit - DIRICHLET_GUARD:
-        raise SpectralParameterOutOfRange(
-            f"s={s} within guard of the Dirichlet eigenvalue {limit}"
-        )
-
-
 def assemble_helmholtz_dtn(domain: Domain, s: float) -> DtnOperator:
     """DtN operator of the Helmholtz extension -Delta u = s u.
 
-    ``s`` must lie below the first interior Dirichlet eigenvalue by at
-    least the pole guard; negative s (modified-Bessel regime) is allowed.
+    ``s`` is guarded as in ``dtn_symbol``; negative s (modified-Bessel
+    regime) is allowed.  The matrix collocates ``dtn_symbol``: the circulant
+    whose first column is the irfft of the symbol of modes n = 0 .. m/2 (on
+    the interval, the 2x2 circulant [[a, b], [b, a]] of modes 0 and 1); that
+    column is even, so toeplitz() gives it, symmetric.  The FFT's round-off
+    grows with the symbol's size, so it sums only the symbol's remainder
+    after |n|, whose column has a closed form.
     """
-    _check_guard(domain, s)
-    if domain.kind == INTERVAL:
-        a, b, _, _ = _interval_entries(s)
-        raw = np.array([[a, b], [b, a]])
-    else:
-        # collocation matrix of the symbol: the circulant with first column
-        # irfft(symbol); that column is even, so toeplitz() gives it, symmetric.
-        # The FFT's round-off grows with the symbol's size, so it sums only the
-        # symbol's remainder after |n|, whose column has a closed form.
-        m = domain.m
-        remainder = _disk_multipliers(m, s)[0] - np.arange(m // 2 + 1)
-        raw = scipy.linalg.toeplitz(np.fft.irfft(remainder, n=m) + _harmonic_column(m))
+    half = domain.m // 2
+    remainder = dtn_symbol(domain, s)[0][: half + 1] - np.arange(half + 1)
+    raw = scipy.linalg.toeplitz(np.fft.irfft(remainder, n=domain.m) + _harmonic_column(domain.m))
     return DtnOperator(domain, s, domain.weights[:, None] * raw)
 
 
@@ -132,9 +120,12 @@ def dtn_symbol(domain: Domain, s: float) -> tuple[np.ndarray, np.ndarray]:
     one per column of ``dtn_basis(domain)``, and their slopes in s.
 
     By Hellmann-Feynman, sum(slope * y**2) is the slope in s of an eigenvalue
-    of L_s - W whose eigenvector has the unit basis coordinates y.
+    of L_s - W whose eigenvector has the unit basis coordinates y.  ``s`` must
+    lie below the first interior Dirichlet eigenvalue by at least the pole guard.
     """
-    _check_guard(domain, s)
+    limit = first_dirichlet_eigenvalue(domain)
+    if s > limit - DIRICHLET_GUARD:
+        raise SpectralParameterOutOfRange(f"s={s} within guard of the Dirichlet eigenvalue {limit}")
     if domain.kind == INTERVAL:
         a, b, da, db = _interval_entries(s)
         return np.array([a + b, a - b]), np.array([da + db, da - db])
@@ -151,22 +142,20 @@ def dtn_basis(domain: Domain) -> np.ndarray:
     """Orthonormal columns U that diagonalize every Helmholtz DtN of the domain:
     dtn_matrix(domain, s) / q = U diag(dtn_symbol(domain, s)[0]) U^T.
 
-    Disk: cos(n theta) for n = 0 .. m/2 (the last is the Nyquist mode), then
-    sin(n theta) for n = 1 .. m/2 - 1, with n k reduced mod m before the angle
-    is formed.  Interval: (1, 1) / sqrt 2 and (1, -1) / sqrt 2.  Cached
-    read-only per (kind, m).
+    cos(n theta_k) for n = 0 .. m/2 (the last is the Nyquist mode), then
+    sin(n theta_k) for n = 1 .. m/2 - 1, at theta_k = 2 pi k / m with n k
+    reduced mod m before the angle is formed.  At m = 2 these are the
+    interval's (1, 1) / sqrt 2 and (1, -1) / sqrt 2.  Cached read-only per
+    (kind, m).
     """
     key = (domain.kind, domain.m)
     if key not in _BASIS_CACHE:
-        if domain.kind == INTERVAL:
-            basis = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-        else:
-            m, half = domain.m, domain.m // 2
-            angles = (2.0 * np.pi / m) * (np.outer(np.arange(m), np.arange(half + 1)) % m)
-            basis = np.hstack([np.cos(angles), np.sin(angles[:, 1:half])])
-            norm_sq = np.full(m, m / 2.0)
-            norm_sq[[0, half]] = m
-            basis /= np.sqrt(norm_sq)
+        m, half = domain.m, domain.m // 2
+        angles = (2.0 * np.pi / m) * (np.outer(np.arange(m), np.arange(half + 1)) % m)
+        basis = np.hstack([np.cos(angles), np.sin(angles[:, 1:half])])
+        norm_sq = np.full(m, m / 2.0)
+        norm_sq[[0, half]] = m
+        basis /= np.sqrt(norm_sq)
         basis.flags.writeable = False
         _BASIS_CACHE[key] = basis
     return _BASIS_CACHE[key]

@@ -312,7 +312,7 @@ def asymptotics_fit(branch: Branch, lam_window, target: str) -> AsymptoticsFit:
             raise InsufficientSamples(
                 "need at least 8 samples spanning a decade in lambda")
         lams = np.geomspace(lo, hi, _FIT_SAMPLES)
-        samples = [branch.at_lambda(float(l), with_gamma1=False) for l in lams]
+        samples = [branch.at_lambda(float(l)) for l in lams]
     p = branch.spec.p
     lams = np.array([pt.lam for pt in samples])
     if target == "sppr-v":
@@ -359,7 +359,7 @@ def logistic_scenarios(domain: Domain, r, lam_grid, *,
         traces = to_logistic(dataclasses.replace(branch, points=pos), rv)
         checks["all_above_one"] = all(float(np.min(t.trace)) > 1.0 for t in traces)
         checks["all_unstable"] = all(pt.gamma1 < 0.0 for pt in pos)
-        near = branch.at_lambda(0.999 * lam1, with_gamma1=False)
+        near = branch.at_lambda(0.999 * lam1)
         checks["endpoint_flattening"] = float(near.sup_norm / (0.999 * lam1))
         fit = asymptotics_fit(branch, (1e-3, 1e-1), "logistic-u")
         checks["blowup_slope"] = fit.slope
@@ -369,7 +369,7 @@ def logistic_scenarios(domain: Domain, r, lam_grid, *,
                 report = oracle_1d(LOGISTIC, rv, float(lam))
                 above = [i for i, c in enumerate(report.classifications)
                          if c == "positive-above-one"]
-                point = branch.at_lambda(float(lam), with_gamma1=False)
+                point = branch.at_lambda(float(lam))
                 u = 1.0 + point.w / point.lam
                 d, c = float(u[0]), float(u[1] - u[0])
                 matched = any(np.max(np.abs(report.pairs[i] - [d, c])) < 1e-6

@@ -18,7 +18,6 @@ import scipy.linalg
 from scipy.linalg import blas, lapack
 
 from .domain import (
-    INTERVAL,
     BoundaryFunction,
     Domain,
     as_values,
@@ -66,10 +65,10 @@ class MuSpectrum:
 
     ``mu2_plus`` comes with the call, and from the deflated root with its
     eigenvector ``mu2_vector``, the next call's ``guess``.  The whole spectrum
-    (``mu_values``, ``mu1_minus``, ``mu1_plus``) with its ``eigenfunctions`` and
-    ``principal`` flags comes from one QZ of the pencil, values and vectors
-    together, run by the call where mu_2^+ needs it and otherwise on first read,
-    and cached, so a caller that reads only the deflated mu_2^+ never pays for it.
+    (``mu_values``, ``mu1_minus``, ``mu1_plus``) with its ``eigenfunctions``
+    comes from one QZ of the pencil, values and vectors together, run by the
+    call where mu_2^+ needs it and otherwise on first read, and cached, so a
+    caller that reads only the deflated mu_2^+ never pays for it.
     """
 
     mu2_plus: float  # +inf when absent
@@ -108,11 +107,6 @@ class MuSpectrum:
         funcs = funcs / np.sqrt(self._weights @ funcs ** 2)
         peaks = funcs[np.argmax(np.abs(funcs), axis=0), np.arange(funcs.shape[1])]
         return np.where(peaks < 0.0, -funcs, funcs)
-
-    @cached_property
-    def principal(self) -> np.ndarray:
-        """Sign-definite eigenfunction flags, aligned with mu_values."""
-        return np.all(self.eigenfunctions > 0.0, axis=0)
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -173,11 +167,10 @@ def near_lambda1(lam: float, lam1: float) -> bool:
 def principal_eigenvalue(domain: Domain, g) -> EigenPair:
     """Positive principal eigenvalue lambda_1(g) of Lambda phi = lambda M_g phi.
 
-    (0, constant) when the boundary integral of g is nonnegative.  On the
-    interval, the closed form (g_0 + g_1)/(g_0 g_1), eigenfunction
-    (1, 1 - lambda_1 g_0) = (1, -g_0/g_1).  Otherwise the positive root of
-    beta_0(lambda), the smallest eigenvalue of (Lambda - lambda M_g)/q:
-    concave, beta_0(0) = 0 < beta_0'(0) = -mean(g).  Newton (slope -sum g v^2,
+    (0, constant) when the boundary integral of g is nonnegative.  Otherwise,
+    on the interval as on the disk, the positive root of beta_0(lambda), the
+    smallest eigenvalue of (Lambda - lambda M_g)/q: concave,
+    beta_0(0) = 0 < beta_0'(0) = -mean(g).  Newton (slope -sum g v^2,
     v the unit eigenvector) descends to it from the Rayleigh bound of the
     indicator of {g > 0}, where beta_0 <= 0; the first evaluation is an
     ``eigh``, each later one a certified eigen-step warm from the last v
@@ -197,23 +190,19 @@ def principal_eigenvalue(domain: Domain, g) -> EigenPair:
     if not phi.any():
         raise RootNotBracketed("lambda1: g has no positive entry")
     lap, q = dtn_matrix(domain), domain.weights[0]
-    if domain.kind == INTERVAL:  # one entry of each sign, and a negative sum
-        g0, g1 = float(gv[0]), float(gv[1])
-        lam, vec = (g0 + g1) / (g0 * g1), np.array([1.0, -g0 / g1])
-    else:
-        bound = float(phi @ lap @ phi) / (q * float(gv @ phi))
-        vec = None
+    bound = float(phi @ lap @ phi) / (q * float(gv @ phi))
+    vec = None
 
-        def evaluate(lam):
-            nonlocal vec
-            vec = _smallest_eigenpair((lap - np.diag(domain.weights * lam * gv)) / q, vec)[1]
-            w = vec - vec[0]  # exact (Sterbenz) where v is within a factor 2 of v_0
-            if not np.all(np.abs(w) <= 0.5 * abs(vec[0])):
-                w = vec
-            gvv = float(gv @ vec ** 2)
-            return float(w @ lap @ w) / q - lam * gvv, -gvv, vec
+    def evaluate(lam):
+        nonlocal vec
+        vec = _smallest_eigenpair((lap - np.diag(domain.weights * lam * gv)) / q, vec)[1]
+        w = vec - vec[0]  # exact (Sterbenz) where v is within a factor 2 of v_0
+        if not np.all(np.abs(w) <= 0.5 * abs(vec[0])):
+            w = vec
+        gvv = float(gv @ vec ** 2)
+        return float(w @ lap @ w) / q - lam * gvv, -gvv, vec
 
-        lam, vec = _newton_root(evaluate, bound, 0.0, bound, "lambda1")
+    lam, vec = _newton_root(evaluate, bound, 0.0, bound, "lambda1")
     func = _h1_normalize(domain, vec)
     if not np.all(func > 0.0):
         raise RootNotBracketed(f"lambda1: the eigenvector at {lam} changes sign")

@@ -9,8 +9,6 @@ import numpy as np
 from .domain import DISK, Domain, as_values, boundary_integral
 from .errors import DeltaBelowThreshold, ShapeMismatch
 
-_ZERO_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class WeightFamily:
@@ -26,9 +24,6 @@ class WeightFamily:
     g: np.ndarray = field(repr=False)
     g_plus: np.ndarray = field(repr=False)
     g_minus: np.ndarray = field(repr=False)
-    gamma_plus: np.ndarray = field(repr=False)   # node indices with g > 0
-    gamma_minus: np.ndarray = field(repr=False)  # node indices with g < 0
-    gamma_zero: np.ndarray = field(repr=False)   # node indices with g = 0
     delta0: float
     delta: float
     g_delta: np.ndarray = field(repr=False)
@@ -47,13 +42,7 @@ def build_family(domain: Domain, g, delta: float) -> WeightFamily:
     if delta <= delta0:
         raise DeltaBelowThreshold(f"delta={delta} must exceed delta0={delta0}")
     g_delta = g_plus - delta * g_minus
-    return WeightFamily(
-        domain, gv, g_plus, g_minus,
-        np.flatnonzero(gv > _ZERO_TOL),
-        np.flatnonzero(gv < -_ZERO_TOL),
-        np.flatnonzero(np.abs(gv) <= _ZERO_TOL),
-        delta0, delta, g_delta,
-    )
+    return WeightFamily(domain, gv, g_plus, g_minus, delta0, delta, g_delta)
 
 
 def _smoothstep(x: np.ndarray) -> np.ndarray:

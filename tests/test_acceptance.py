@@ -83,7 +83,7 @@ def test_03_logistic_closed_form_limit(interval):
     branch = continue_branch(spec)
     errs = []
     for lam in (1e-1, 1e-2, 1e-3):
-        point = branch.at_lambda(lam, with_gamma1=False)
+        point = branch.at_lambda(lam)
         lam_u = lam * (1.0 + point.w / lam)
         errs.append(float(np.max(np.abs(lam_u - [0.5, 0.25]))))
     ok = errs[-1] <= 5e-3 and errs[0] > errs[1] > errs[2]
@@ -119,8 +119,7 @@ def test_06_mu_structure(interval, disk16):
         branch = continue_branch(ProblemSpec(dom, 2.0, g))
         lam1 = branch.bifurcation_lambda
         for frac in (0.0, 0.2, 0.4, 0.6, 0.8):
-            points.append((dom, g, branch.at_lambda(frac * lam1,
-                                                    with_gamma1=False)))
+            points.append((dom, g, branch.at_lambda(frac * lam1)))
     for dom, g, pt in points:
         spec = weighted_steklov_spectrum(dom, g, pt.lam, pt.w, 2.0)
         ok = ok and abs(spec.mu1_plus - 1.0) < 1e-8
@@ -219,8 +218,7 @@ def test_12_logistic_scenario_matrix(interval):
     ok = ok and pos.checks["all_above_one"] and pos.checks["oracle_agreement"]
     # ||u - 1|| shrinks to zero approaching the right endpoint lambda_1
     lam1 = pos.lam1
-    gaps = [pos.branch.at_lambda(f * lam1, with_gamma1=False).sup_norm
-            / (f * lam1) for f in (0.9, 0.99, 0.999)]
+    gaps = [pos.branch.at_lambda(f * lam1).sup_norm / (f * lam1) for f in (0.9, 0.99, 0.999)]
     ok = ok and gaps[0] > gaps[1] > gaps[2] and gaps[2] < 1e-2
     rng = np.random.default_rng(12)
     for _ in range(100):

@@ -129,13 +129,16 @@ def test_reruns_are_byte_identical(tmp_path):
     sweep = INTERVAL_INI.replace("g = 1.0, -4.0", "g = 1.0, -1.0") + \
         "\n[sweep]\ndeltas = 4.0, 2.0\n"
     asympt = INTERVAL_INI.replace("0.05, 0.7", "0.001, 0.1")
+    # lambda_1 of g = (1.3, -2.7) is not a float, so it comes from the root finder's last bits
+    interval_branch = INTERVAL_INI.replace("g = 1.0, -4.0", "g = 1.3, -2.7")
+    branch_files = ["branch.csv", "branch_diagram.csv", "branch.json"]
     runs = [("probe", INTERVAL_INI, ["probe.json"]), ("eig", INTERVAL_INI, ["eig.json"]),
             ("solve", INTERVAL_INI, ["solve.json"]), ("asympt", asympt, ["asympt.json"]),
             ("oracle1d", LOGISTIC_INI, ["oracle1d.json"]), ("sweep", sweep, ["sweep.json"]),
-            ("branch", DISK_INI, ["branch.csv", "branch_diagram.csv", "branch.json"])]
-    for command, text, names in runs:
-        cfg = _write(tmp_path, text, f"{command}.ini")
-        out1, out2 = tmp_path / command / "a", tmp_path / command / "b"
+            ("branch", DISK_INI, branch_files), ("branch", interval_branch, branch_files)]
+    for index, (command, text, names) in enumerate(runs):
+        cfg = _write(tmp_path, text, f"{index}.ini")
+        out1, out2 = tmp_path / str(index) / "a", tmp_path / str(index) / "b"
         for out in (out1, out2):
             assert main([command, "--config", cfg, "--out", str(out)]) == 0
         for name in names:
@@ -228,8 +231,7 @@ def test_f_form_branch_reports_the_f_pencil(tmp_path):
     cfg = _write(tmp_path, F_FORM_DISK_INI)
     assert main(["branch", "--config", cfg, "--out", str(tmp_path)]) == 0
     rows = [line.split(",") for line in (tmp_path / "branch.csv").read_text().splitlines()[1:]]
-    config = load_config(cfg)
-    spec = config.build_spec(config.domain)
+    spec = load_config(cfg).spec
     branch = continue_branch(spec)
     lam1 = branch.bifurcation_lambda
     assert len(rows) == len(branch.points)
@@ -284,23 +286,26 @@ def test_branch_mu2_column_costs_one_eigh(tmp_path, monkeypatch):
 
 
 def test_config_validation_messages(tmp_path):
-    with pytest.raises(ConfigError):
-        config_from_dict({"lambda": {"window": "0.5, 0.1"}})
-    with pytest.raises(ConfigError):
-        config_from_dict({"domain": {"kind": "triangle"}})
-    for section, key, value in (("problem", "p", "nan"), ("lambda", "window", "0, nan")):
-        with pytest.raises(ConfigError):
-            config_from_dict({section: {key: value}})
-    interval = config_from_dict({"problem": {"g": "nan, -4"}})
-    with pytest.raises(ConfigError):
-        interval.build_weight(interval.domain, "g")
-    for key, value in (("g_terms", "x:1:0"), ("g_terms", "1:nan:0"),
-                       ("g_plateaus", "0:inf"), ("g_transition_width", "nan"),
-                       ("g_transition_width", "0")):
-        disk = config_from_dict({"domain": {"kind": "unit-disk", "m": "16"},
-                                 "problem": {"g_terms": "1:1:0; 0:-0.3:0", key: value}})
-        with pytest.raises(ConfigError):
-            disk.build_weight(disk.domain, "g")
+    """Each bad config names its own fault; those that get past [domain] carry
+    valid weights, so the weight check does not fire first."""
+    g = {"g": "1, -4"}
+    for raw, message in (({"lambda": {"window": "0.5, 0.1"}, "problem": g}, "bad lambda window"),
+                         ({"domain": {"kind": "triangle"}}, "unknown domain kind"),
+                         ({"problem": {"p": "nan", **g}}, "p must be finite"),
+                         ({"lambda": {"window": "0, nan"}, "problem": g}, "window must be finite"),
+                         ({"problem": {"g": "nan, -4"}}, "g must be finite"),
+                         ({"problem": {"g": "1"}}, "g needs 2 values"),
+                         ({"problem": {}}, "g is required")):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(raw)
+    for key, value, message in (("g_terms", "x:1:0", "bad number in g_terms"),
+                                ("g_terms", "1:nan:0", "g_terms must be finite"),
+                                ("g_plateaus", "0:inf", "g_plateaus must be finite"),
+                                ("g_transition_width", "nan", "g_transition_width must be finite"),
+                                ("g_transition_width", "0", "g_transition_width must be positive")):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict({"domain": {"kind": "unit-disk", "m": "16"},
+                              "problem": {"g_terms": "1:1:0; 0:-0.3:0", key: value}})
     with pytest.raises(ShapeMismatch):
         ProblemSpec(build_domain("interval", 2), math.nan, np.array([1.0, -4.0]))
     # weight keys the form or the domain kind does not read
@@ -310,18 +315,31 @@ def test_config_validation_messages(tmp_path):
                             ({}, {"form": "f-form", "g": "1, -4", "f": "1, 1", "r": "1, 1"}),
                             ({}, {"form": "w-form", "g": "1, -4", "g_terms": "1:1:0"}),
                             (disk, {"g_terms": "1:1:0", "g": "1, -4"})):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="keys not read"):
             config_from_dict({"domain": domain, "problem": problem})
     for kind in ("disk", "unit_disk", "unit-disk"):
         config = config_from_dict({"domain": {**disk, "kind": kind},
                                    "problem": {"form": "f-form", "g_terms": "1:1:0; 0:-0.3:0",
                                                "f_terms": "0:1:0", "f_plateaus": "0:0.5",
                                                "f_transition_width": "0.1"}})
-        assert config.domain.kind == "unit-disk"
-    assert config_from_dict({"problem": {"form": "logistic", "p": "2", "r": "-1, 4"}}).p == 2.0
+        assert config.spec.domain.kind == "unit-disk"
+    logistic = config_from_dict({"problem": {"form": "logistic", "p": "2", "r": "-1, 4"}})
+    assert logistic.spec.p == 2.0
     cfg = load_config(_write(tmp_path, INTERVAL_INI))
     assert cfg.lam_window == (0.05, 0.7)
     assert cfg.n_inits == 8
+
+
+@pytest.mark.parametrize("p", ["0.5", "1.0"])
+def test_exponent_at_most_one_is_a_config_error(tmp_path, capsys, p):
+    """p <= 1 is rejected while the config is read, before any output directory
+    is made: exit 2, a config error."""
+    cfg = _write(tmp_path, INTERVAL_INI.replace("p = 2.0", f"p = {p}"))
+    for command in ("eig", "branch", "probe"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "must exceed 1" in err and not out.exists()
 
 
 def test_branch_reports_step_underflow_as_incomplete(tmp_path, monkeypatch):

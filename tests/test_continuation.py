@@ -18,6 +18,7 @@ from indefbc.errors import (
     UNotAboveOne,
 )
 from indefbc.problem import F_FORM, LOGISTIC, W_FORM, ProblemSpec, logistic_spec
+from indefbc.solve import make_point
 from indefbc.weights import trig_weight
 from conftest import f_form_spec, sign_changing_disk_weight
 
@@ -31,7 +32,7 @@ def test_branch_reaches_closed_form_state_at_lambda_zero(interval):
     assert lo < 0.0 < hi < branch.bifurcation_lambda
     point = branch.at_lambda(0.0)
     assert np.max(np.abs(point.w - [0.5, 0.25])) < 1e-10
-    assert point.gamma1 < 0.0
+    assert make_point(spec, 0.0, point.w).gamma1 < 0.0
 
 
 def test_branch_emanates_along_principal_eigenfunction(disk16):

@@ -19,7 +19,10 @@ from indefbc.errors import SpectralParameterOutOfRange
 
 
 def test_interval_harmonic_matrix_is_exact(interval):
-    assert np.allclose(dtn_matrix(interval), [[1.0, -1.0], [-1.0, 1.0]], atol=1e-15)
+    """The disk's circulant assembly at m = 2 gives the interval's closed form
+    [[1, -1], [-1, 1]] to the bit, and its basis (1, 1) / sqrt 2, (1, -1) / sqrt 2."""
+    assert np.array_equal(dtn_matrix(interval), [[1.0, -1.0], [-1.0, 1.0]])
+    assert np.array_equal(dtn_basis(interval), np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
 
 
 def test_interval_helmholtz_closed_form(interval):

@@ -24,7 +24,7 @@ from indefbc.dtn import (
 from indefbc.domain import build_domain, volume_l2_norm_sq
 from indefbc.errors import PencilNotPositiveDefinite, ResidualAboveTolerance, RootNotBracketed
 from indefbc.problem import ProblemSpec, residual_jacobian, residual_vector
-from indefbc.solve import newton_solve
+from indefbc.solve import make_point, newton_solve
 from indefbc.spectral import (
     gamma1,
     m_delta,
@@ -332,7 +332,7 @@ def _disk_branch_states(ms):
     branch = continue_branch(ProblemSpec(dom16, 2.0, sign_changing_disk_weight(dom16)),
                              with_gamma1=False)
     lam = 0.3 * branch.bifurcation_lambda
-    coeffs = np.fft.rfft(branch.at_lambda(lam, with_gamma1=False).w)[:8]
+    coeffs = np.fft.rfft(branch.at_lambda(lam).w)[:8]
     states = []
     for m in ms:
         dom = build_domain("unit-disk", m)
@@ -674,7 +674,7 @@ def test_gamma1_negative_along_disk_branch_point(disk16):
 
     branch = continue_branch(spec)
     point = branch.at_lambda(0.3 * branch.bifurcation_lambda)
-    assert point.gamma1 < 0.0
+    assert make_point(spec, point.lam, point.w).gamma1 < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +685,7 @@ def _interval_solution(interval, g, lam):
     spec = ProblemSpec(interval, 2.0, g)
     from indefbc.continuation import continue_branch
 
-    return continue_branch(spec).at_lambda(lam, with_gamma1=False)
+    return continue_branch(spec).at_lambda(lam)
 
 
 def test_mu_one_is_eigenvalue_with_eigenfunction_w(interval, disk16):
@@ -734,7 +734,7 @@ def test_mu_gap_at_p_matches_jacobian_regularity(disk16):
     branch = continue_branch(spec)
     lam1 = branch.bifurcation_lambda
     for frac in (0.1, 0.4, 0.7):
-        point = branch.at_lambda(frac * lam1, with_gamma1=False)
+        point = branch.at_lambda(frac * lam1)
         mus = weighted_steklov_spectrum(disk16, g, point.lam, point.w, 2.0).mu_values
         gap = float(np.min(np.abs(mus - spec.p)))
         smallest_sv = float(np.linalg.svd(
@@ -831,8 +831,8 @@ def test_corrector_step_solves_the_bordered_system(disk16, monkeypatch):
 
 
 def _mu_spectrum_reference(domain, g, lam, w, p, h=None):
-    """The mu-spectrum through A^(-1/2), normalized, sign-fixed and flagged column by
-    column; the pencil's right side weighs |w|^(p-1) by h, or by g without one."""
+    """The mu-spectrum through A^(-1/2), normalized and sign-fixed column by column;
+    the pencil's right side weighs |w|^(p-1) by h, or by g without one."""
     a = dtn_matrix(domain) - np.diag(domain.weights * lam * g)
     b = np.diag(domain.weights * (g if h is None else h) * np.abs(w) ** (p - 1.0))
     evals, evecs = np.linalg.eigh(a)
@@ -841,14 +841,12 @@ def _mu_spectrum_reference(domain, g, lam, w, p, h=None):
     keep = np.abs(nus) > 1e-12
     mus, funcs = 1.0 / nus[keep], isqrt @ psis[:, keep]
     order = np.argsort(mus)
-    cols, flags = [], []
+    cols = []
     for f in funcs[:, order].T:
         f = f / math.sqrt(float(domain.weights @ (f * f)))
         i = int(np.argmax(np.abs(f)))
-        f = -f if f[i] < 0 else f
-        cols.append(f)
-        flags.append(bool(np.all(f > 0) or np.all(f < 0)))
-    return mus[order], np.column_stack(cols), np.array(flags), a, b
+        cols.append(-f if f[i] < 0 else f)
+    return mus[order], np.column_stack(cols), a, b
 
 
 def test_mu_spectrum_matches_per_column_reference():
@@ -858,17 +856,16 @@ def test_mu_spectrum_matches_per_column_reference():
     relative, and columns of eigenvalues 1e-3 apart (relative) to 1e-9 up
     to sign, since antisymmetric columns tie for the largest |entry| and
     round-off picks their sign in either code.  Each column must solve its
-    pencil and carry the reference's one-signed flag.
+    pencil.
     """
     dom = build_domain("unit-disk", 64)
     g = sign_changing_disk_weight(dom)
     branch = continue_branch(ProblemSpec(dom, 2.0, g), with_gamma1=False)
     for frac in (0.05, 0.3, 0.6, 0.9):
-        point = branch.at_lambda(frac * branch.bifurcation_lambda, with_gamma1=False)
+        point = branch.at_lambda(frac * branch.bifurcation_lambda)
         spec = weighted_steklov_spectrum(dom, g, point.lam, point.w, 2.0)
-        mus, funcs, flags, a, b = _mu_spectrum_reference(dom, g, point.lam, point.w, 2.0)
+        mus, funcs, a, b = _mu_spectrum_reference(dom, g, point.lam, point.w, 2.0)
         assert np.allclose(spec.mu_values, mus, rtol=1e-10, atol=0.0)
-        assert np.array_equal(spec.principal, flags) and flags.sum() >= 1
         near = np.abs(np.diff(mus)) <= 1e-3 * np.abs(mus[1:])
         apart = ~(np.append(near, False) | np.insert(near, 0, False))
         got = spec.eigenfunctions
@@ -890,8 +887,8 @@ def test_mu2_plus_needs_one_eigh_cold_and_none_warm(monkeypatch):
     g = sign_changing_disk_weight(dom)
     branch = continue_branch(ProblemSpec(dom, 2.0, g), with_gamma1=False)
     lam1 = branch.bifurcation_lambda
-    point = branch.at_lambda(0.3 * lam1, with_gamma1=False)
-    near = branch.at_lambda(0.32 * lam1, with_gamma1=False)
+    point = branch.at_lambda(0.3 * lam1)
+    near = branch.at_lambda(0.32 * lam1)
     calls = []
     eigh, eig = scipy.linalg.eigh, scipy.linalg.eig
 
@@ -917,8 +914,7 @@ def test_mu2_plus_needs_one_eigh_cold_and_none_warm(monkeypatch):
     assert abs(spec.mu1_plus - 1.0) < 1e-8
     assert calls == ["qz"]
     funcs = spec.eigenfunctions
-    assert spec.principal.sum() >= 1
-    assert spec.eigenfunctions is funcs and spec.principal.sum() >= 1
+    assert spec.eigenfunctions is funcs
     assert calls == ["qz"]
 
 
@@ -944,7 +940,6 @@ def test_fallback_mu_spectrum_needs_one_qz(monkeypatch, disk16):
         assert len(calls) == 1
         funcs = spec.eigenfunctions
         assert funcs.shape == (16, len(spec.mu_values)) and spec.eigenfunctions is funcs
-        assert spec.principal.shape == spec.mu_values.shape
         assert len(calls) == 1
 
 
